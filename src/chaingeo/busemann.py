@@ -83,9 +83,17 @@ class VisualMeasure:
         ]
 
 
+def _pairings(xi_lifts, V):
+    """<xi_i, V> for every boundary lift xi_i (last axis), as one
+    matrix-vector product: <xi, V> = sum_k xi_k <e_k, V>.  It is the
+    conjugate of <V, xi_i>, so moduli and real parts of quotients need no
+    conjugated copy of the samples."""
+    return xi_lifts @ _herm(np.eye(V.shape[-1]), V)
+
+
 def _log_ratio(xi_lift, X, Y):
-    num = np.abs(_herm(X, xi_lift)) ** 2 * _herm(Y, Y).real
-    den = np.abs(_herm(Y, xi_lift)) ** 2 * _herm(X, X).real
+    num = np.abs(_pairings(xi_lift, X)) ** 2 * _herm(Y, Y).real
+    den = np.abs(_pairings(xi_lift, Y)) ** 2 * _herm(X, X).real
     return np.log(num / den)  # ratio of two negatives is positive
 
 
@@ -211,11 +219,13 @@ def _test_family(model, lifts):
 
 
 def _batch_stats(values, n_batches=20):
+    """Mean, batch-mean standard error and the batch means along the last
+    axis; a remainder of fewer than ``n_batches`` samples is dropped."""
     n = values.shape[-1] - values.shape[-1] % n_batches
     b = values[..., :n].reshape(values.shape[:-1] + (n_batches, -1)).mean(axis=-1)
     mean = b.mean(axis=-1)
     stderr = b.std(axis=-1, ddof=1) / np.sqrt(n_batches)
-    return mean, stderr
+    return mean, stderr, b
 
 
 @dataclass(frozen=True)
@@ -252,7 +262,7 @@ def measure_transform_check(model, g, n_samples=100_000, seed=0, entropy=None, h
     weights = np.exp(-h * busemann_lifts(model, lifts, g0_lift, zero.lift))
     f_weighted = _test_family(model, lifts) * weights
     diff = f_push - f_weighted
-    mean, stderr = _batch_stats(diff)
+    mean, stderr, _ = _batch_stats(diff)
     # identically-zero test functions (exact symmetries) leave only rounding
     # noise in both mean and stderr; floor the denominator so their z is ~0
     z = np.abs(mean) / (stderr + 1e-12)
@@ -273,5 +283,5 @@ def unit_mass_check(model, entropy, x, n_samples=100_000, seed=0):
     nu = VisualMeasure(model, seed=seed)
     lifts = nu.sample_lifts(n_samples)
     vals = e_xi_lifts(model, entropy, lifts, x.lift)
-    mean, stderr = _batch_stats(vals)
+    mean, stderr, _ = _batch_stats(vals)
     return float(mean), float(stderr)

@@ -321,7 +321,6 @@ def build_parser():
         prog="chaingeo",
         description="chain geometry, bounded Kahler forms, Toledo invariants",
     )
-    ap.add_argument("--threads", type=int, default=1, help="parallelism cap")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, formats=False):

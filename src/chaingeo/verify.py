@@ -245,7 +245,8 @@ def crit06_delta_form_bound(seed=19, n_points=100, n_samples=200_000):
         v1 = _random_tangent(model, rng, x)
         v2 = _random_tangent(model, rng, x)
         fe = delta_form_eval(model, ent, c, x, [v1, v2], n_samples=n_samples, seed=seed + k)
-        worst_excess = max(worst_excess, abs(fe.value) - fe.bound - 3 * fe.mc_stderr)
+        # np.maximum, unlike max, keeps a NaN
+        worst_excess = np.maximum(worst_excess, abs(fe.value) - fe.bound - 3 * fe.mc_stderr)
         ok_bound = ok_bound and fe.bound_satisfied
     const = BoundaryCocycle(
         arity=3, evaluator=lambda a, b, c_: np.ones(len(a)), sup_norm_bound=1.0
@@ -288,8 +289,8 @@ def crit07_closedness(seed=23, n_points=20, n_samples=200_000, step=1e-3):
         val, sig, st = exterior_derivative_fd(field, model, x, u, v, w, step=step)
         tol = 4.0 * sig + 100.0 * step**2
         ok = ok and abs(val) < tol
-        worst = max(worst, abs(val))
-        worst_tol = max(worst_tol, tol)
+        worst = float(np.maximum(worst, abs(val)))  # keeps a NaN, unlike max
+        worst_tol = float(np.maximum(worst_tol, tol))
     return {
         "name": "closedness of the pulled-back Kahler representative",
         "worst_abs_d": worst,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,7 +20,10 @@ from chaingeo import (
     standard_embedding,
     volume_entropy,
 )
+from chaingeo import verify
+from chaingeo.busemann import VisualMeasure, e_xi_lifts
 from chaingeo.chains import cartan_triple_lifts
+from chaingeo.hermitian import _herm
 
 from conftest import random_boundary, random_interior, random_tangent
 
@@ -259,6 +264,15 @@ def test_cocycle_rejects_bound_violation(setup, rng):
         liar(lifts, lifts, lifts)
 
 
+def test_cocycle_rejects_non_finite_values(setup, rng):
+    model, _ = setup
+    lifts = np.stack([random_boundary(model, rng).lift for _ in range(4)])
+    for bad in (np.nan, np.inf):
+        c = BoundaryCocycle(3, lambda a, b, c_, bad=bad: np.full(len(a), bad), 1.0)
+        with pytest.raises(ValueError):
+            c(lifts, lifts, lifts)
+
+
 def test_alternating_flag_check(setup, rng):
     model, _ = setup
     emb = standard_embedding(2, 3)
@@ -277,3 +291,103 @@ def test_alternating_flag_check(setup, rng):
         3, lambda a, b, c_: np.ones(len(a)), 1.0, alternating=True
     )
     assert not non_alt.check_alternating(lifts)
+
+
+def _sine_cocycle(rng, arity):
+    refs = rng.normal(size=(arity, 3)) + 1j * rng.normal(size=(arity, 3))
+
+    def ev(*lifts):
+        acc = sum(
+            (k + 1.5) * np.abs(l @ np.conj(w)) / np.linalg.norm(l, axis=1)
+            for k, (l, w) in enumerate(zip(lifts, refs))
+        )
+        return np.sin(acc)
+
+    return BoundaryCocycle(arity, ev, 1.0)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_field_matches_eval_on_one_stream(setup, rng, degree):
+    model, ent = setup
+    c = _sine_cocycle(rng, degree + 1)
+    field = delta_form_field(model, ent, c, n_samples=N_MC, seed=21)
+    for _ in range(3):
+        x = random_interior(model, rng)
+        vs = [random_tangent(model, rng, x) for _ in range(degree)]
+        a = field(x, *vs)
+        b = delta_form_eval(model, ent, c, x, vs, n_samples=N_MC, seed=21)
+        assert_allclose([a.value, a.mc_stderr], [b.value, b.mc_stderr], rtol=1e-12, atol=0)
+        assert_allclose(a.batch_means, b.batch_means, rtol=1e-12, atol=0)
+
+
+def test_field_draws_its_stream_once(setup, rng, monkeypatch):
+    model, ent = setup
+    drawn = []
+    original = VisualMeasure.sample_lifts
+
+    def counting(self, n, rng=None):
+        drawn.append(n)
+        return original(self, n, rng=rng)
+
+    monkeypatch.setattr(VisualMeasure, "sample_lifts", counting)
+    field = delta_form_field(model, ent, _sine_cocycle(rng, 3), n_samples=N_MC, seed=22)
+    for _ in range(4):
+        x = random_interior(model, rng)
+        field(x, random_tangent(model, rng, x), random_tangent(model, rng, x))
+    assert drawn == [N_MC] * 3
+
+
+def test_eval_matches_direction_field_estimator(setup, rng):
+    # independent oracle: the estimator with the unit tangents U_xi toward
+    # every sample materialised, (de^xi)(v) = h s Re<v, U_xi> e^xi
+    model, ent = setup
+    phi = BoundaryMapHandle.from_embedding(standard_embedding(2, 3))
+    c = BoundaryCocycle(3, lambda a, b, c_: cartan_triple_lifts(phi(a), phi(b), phi(c_)), 1.0)
+    x = random_interior(model, rng)
+    u, v = random_tangent(model, rng, x), random_tangent(model, rng, x)
+    fe = delta_form_eval(model, ent, c, x, [u, v], n_samples=N_MC, seed=24)
+
+    nu = VisualMeasure(model, seed=24)
+    draw = np.random.default_rng(24)
+    xis = [nu.sample_lifts(N_MC, rng=draw) for _ in range(3)]
+    X, s, h = x.lift, model.metric_scale, ent.value
+    de = []
+    for xi in xis[1:]:
+        pair = _herm(np.broadcast_to(X, xi.shape), xi)
+        U = (xi * np.conj(-1.0 / pair)[:, None] - X) / np.sqrt(s)
+        e = e_xi_lifts(model, ent, xi, X)
+        de.append([h * s * _herm(np.broadcast_to(t.components, U.shape), U).real * e for t in (u, v)])
+    integrand = c(*xis) * e_xi_lifts(model, ent, xis[0], X)
+    integrand = integrand * (de[0][0] * de[1][1] - de[0][1] * de[1][0])
+    batches = integrand.reshape(20, -1).mean(axis=1)
+    assert_allclose(fe.batch_means, batches, rtol=1e-12, atol=0)
+
+
+def test_nan_boundary_map_fails_chain_formula(setup, monkeypatch):
+    model, _ = setup
+    phi = BoundaryMapHandle(lambda l: np.full((len(l), 4), np.nan + 0j), 2, 3, equivariant=True)
+    assert np.isnan(chain_formula_check(model, HermitianModel(3), phi, +1, n_chains=3, seed=0))
+    monkeypatch.setattr(
+        BoundaryMapHandle, "from_embedding", staticmethod(lambda *a, **k: phi)
+    )
+    r = verify.crit09_chain_formula(n_chains=3, triples_per_chain=2)
+    assert np.isnan(r["residual_plus"]) and np.isnan(r["residual_minus"])
+    assert not r["passed"]
+
+
+def test_nan_form_values_show_in_form_criteria(monkeypatch):
+    real_eval = verify.delta_form_eval
+
+    def nan_eval(*args, **kwargs):
+        return dataclasses.replace(real_eval(*args, **kwargs), value=np.nan)
+
+    monkeypatch.setattr(verify, "delta_form_eval", nan_eval)
+    r6 = verify.crit06_delta_form_bound(n_points=2, n_samples=2_000)
+    assert np.isnan(r6["worst_bound_excess"]) and not r6["passed"]
+
+    monkeypatch.setattr(
+        verify, "exterior_derivative_fd", lambda *a, step, **k: (np.nan, np.nan, step)
+    )
+    r7 = verify.crit07_closedness(n_points=2, n_samples=2_000)
+    assert np.isnan(r7["worst_abs_d"]) and np.isnan(r7["worst_tolerance"])
+    assert not r7["passed"]
