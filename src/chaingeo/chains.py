@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermitianModel, ProjPoint, _herm
+from .hermitian import HermitianModel, ProjPoint, _herm, _triple_product
 
 __all__ = [
     "Chain",
@@ -43,7 +43,7 @@ def cartan_triple_lifts(lifts1, lifts2, lifts3):
 
     Degenerate triples (vanishing triple product) give 0.
     """
-    t = _herm(lifts1, lifts2) * _herm(lifts2, lifts3) * _herm(lifts3, lifts1)
+    t = _triple_product(lifts1, lifts2, lifts3)
     out = (2.0 / np.pi) * np.angle(-t)
     return np.where(np.abs(t) < DEGENERACY_TOL, 0.0, out)
 
@@ -53,7 +53,7 @@ def cartan_invariant_flagged(model, x1, x2, x3):
     for x in (x1, x2, x3):
         if not x.is_boundary:
             raise ValueError("the angular invariant is defined on boundary points")
-    t = _herm(x1.lift, x2.lift) * _herm(x2.lift, x3.lift) * _herm(x3.lift, x1.lift)
+    t = _triple_product(x1.lift, x2.lift, x3.lift)
     if abs(t) < DEGENERACY_TOL:
         return 0.0, True
     return float((2.0 / np.pi) * np.angle(-t)), False

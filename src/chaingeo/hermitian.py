@@ -17,12 +17,11 @@ form is ``omega(u, v) = g(Ju, v)`` with J multiplication by i.  The default
 normalization; it is validated by a finite-difference curvature oracle in
 the test suite rather than assumed.
 
-Geodesic triangles are filled by coning a vertex over the opposite side and
-the Kahler area is computed by adaptive 2-D quadrature of the pulled-back
-form.  All parameterizations below keep lifts polynomial or hyperbolic-
-trigonometric in the parameters, so the pullback integrand is evaluated
-from closed-form derivatives (no finite differencing inside the
-quadrature).
+The Kahler form is the curvature of the tautological line bundle, so the
+signed Kahler area of a geodesic triangle, with interior or ideal
+vertices, is the phase of the Hermitian triple product of its vertex
+lifts.  The test suite checks this closed form against an independent
+quadrature of the form over a cone filling.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .quadrature import integrate_unit_square
 
 __all__ = [
     "HermitianModel",
@@ -311,175 +308,66 @@ def metric_and_kahler(model, x, u, v):
 
 
 # ---------------------------------------------------------------------------
-# triangle area: adaptive quadrature of the Kahler form over a cone filling
+# triangle area: the closed form of the Kahler cocycle
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TriangleArea:
-    """Result of a Kahler-area quadrature; degenerate triples carry value 0."""
+    """Signed Kahler area of a geodesic triangle.
+
+    ``err_estimate`` bounds the rounding error of the closed form; it grows
+    as a pairing of two vertices approaches zero.  Degenerate triples carry
+    value 0 and error 0.
+    """
 
     value: float
     err_estimate: float
     degenerate: bool = False
-    panels: int = 0
 
     def __float__(self):
         return self.value
 
 
-def _omega_on_lifts(scale, C, V, W):
-    """Kahler form on arbitrary lifts: C base lift (<C,C> < 0), V, W lift
-    derivatives of curves through [C].  Invariant under pointwise rescaling
-    of the lift family."""
-    mu = _herm(C, C).real
-    a = _herm(V, C)
-    b = _herm(W, C)
-    hor = _herm(V, W) - a * np.conj(b) / mu
-    return scale * hor.imag / mu
-
-
-def _side_curve(Y, ykind, Z, zkind):
-    """Lift parameterization S(t), t in [0,1], of the geodesic [y, z].
-
-    Returns callables S, S', M, M' with M(t) = -<S,S> > 0 on (0,1).  The
-    lifts are polynomial (ideal ends) or hyperbolic-trigonometric
-    (interior ends) in t so that derivatives are exact.
-    """
-    if ykind == "interior" and zkind == "interior":
-        Zt, r = _aligned_pair(Y, Z)
-        n = np.sqrt(r * r - 1.0)
-        U = (Zt - r * Y) / n
-        D = np.arccosh(r)
-
-        def S(t):
-            return np.cosh(t * D)[..., None] * Y + np.sinh(t * D)[..., None] * U
-
-        def Sp(t):
-            return D * (np.sinh(t * D)[..., None] * Y + np.cosh(t * D)[..., None] * U)
-
-        def M(t):
-            return np.ones_like(t)
-
-        def Mp(t):
-            return np.zeros_like(t)
-
-    elif ykind == "interior":  # z ideal
-        w = np.conj(-1.0 / _herm(Y, Z))
-        Zs = w * Z
-
-        def S(t):
-            return ((1 - t) ** 2)[..., None] * Y + (t * (2 - t) / 2)[..., None] * Zs
-
-        def Sp(t):
-            return (-2 * (1 - t))[..., None] * Y + (1 - t)[..., None] * Zs
-
-        def M(t):
-            return (1 - t) ** 2
-
-        def Mp(t):
-            return -2 * (1 - t)
-
-    elif zkind == "interior":  # y ideal
-        w = np.conj(-1.0 / _herm(Z, Y))
-        Ys = w * Y
-
-        def S(t):
-            return (t**2)[..., None] * Z + ((1 - t * t) / 2)[..., None] * Ys
-
-        def Sp(t):
-            return (2 * t)[..., None] * Z + (-t)[..., None] * Ys
-
-        def M(t):
-            return t**2
-
-        def Mp(t):
-            return 2 * t
-
-    else:  # both ideal
-        c0 = _herm(Z, Y)
-        Zs = -Z / c0  # <Y, Zs> = <Zs, Y> = -1
-
-        def S(t):
-            return ((1 - t) ** 2)[..., None] * Y + (t**2)[..., None] * Zs
-
-        def Sp(t):
-            return (-2 * (1 - t))[..., None] * Y + (2 * t)[..., None] * Zs
-
-        def M(t):
-            return 2.0 * (t**2) * ((1 - t) ** 2)
-
-        def Mp(t):
-            return 2.0 * (2 * t * (1 - t) ** 2 - 2 * (t**2) * (1 - t))
-
-    return S, Sp, M, Mp
-
-
-def _cone_integrand(scale, A, akind, side):
-    """Pullback of the Kahler form under the cone map from vertex A over a
-    side curve; vectorized in the quadrature parameters (sigma, tau)."""
-    S, Sp, M, Mp = side
-
-    def F(sig, tau):
-        Sv = S(tau)
-        Spv = Sp(tau)
-        Mv = M(tau)
-        Mpv = Mp(tau)
-        c = _herm(Sv, A)
-        cp = _herm(Spv, A)
-        if akind == "interior":
-            r = np.abs(c)
-            rp = (np.conj(c) * cp).real / r
-            chi = r / np.sqrt(Mv)
-            chip = rp / np.sqrt(Mv) - r * Mpv / (2.0 * Mv**1.5)
-            ph = c / r
-            php = cp / r - c * rp / r**2
-            St = -Sv / ph[..., None]
-            Stp = -Spv / ph[..., None] + Sv * (php / ph**2)[..., None]
-            Wv = St - r[..., None] * A
-            Wp = Stp - rp[..., None] * A
-            n2 = r * r - Mv
-            n = np.sqrt(n2)
-            nd = (2.0 * r * rp - Mpv) / (2.0 * n)
-            Wh = Wv / n[..., None]
-            Whp = Wp / n[..., None] - Wv * (nd / n2)[..., None]
-            Th = np.arccosh(np.maximum(chi, 1.0))
-            Thp = chip / np.sqrt(np.maximum(chi * chi - 1.0, 1e-300))
-            ch = np.cosh(sig * Th)
-            sh = np.sinh(sig * Th)
-            Phi = ch[..., None] * A + sh[..., None] * Wh
-            dsig = Th[..., None] * (sh[..., None] * A + ch[..., None] * Wh)
-            dtau = (sig * Thp)[..., None] * (sh[..., None] * A + ch[..., None] * Wh) + sh[
-                ..., None
-            ] * Whp
-            return _omega_on_lifts(scale, Phi, dsig, dtau)
-        # ideal vertex: sigma runs from the side (0) toward the vertex (1),
-        # reversing the orientation of the (sigma, tau) frame
-        q = Mv / np.conj(c)
-        qp = Mpv / np.conj(c) - Mv * np.conj(cp) / np.conj(c) ** 2
-        one = 1.0 - sig
-        Phi = (one**2)[..., None] * Sv - (sig * (2 - sig) / 2)[..., None] * (q[..., None] * A)
-        dsig = (-2 * one)[..., None] * Sv - one[..., None] * (q[..., None] * A)
-        dtau = (one**2)[..., None] * Spv - (sig * (2 - sig) / 2)[..., None] * (qp[..., None] * A)
-        return -_omega_on_lifts(scale, Phi, dsig, dtau)
-
-    return F
+def _triple_product(X, Y, Z):
+    """Hermitian triple product <X,Y><Y,Z><Z,X>, along the last axis."""
+    return _herm(X, Y) * _herm(Y, Z) * _herm(Z, X)
 
 
 def triangle_area(model, x, y, z, tol=1e-6):
     """Signed Kahler area of the geodesic triangle (x, y, z).
 
-    The filling cones the first vertex over the geodesic side [y, z] and
-    the integral is independent of which vertex cones (up to quadrature
-    tolerance).  The value is alternating in the arguments and bounded by
-    pi in absolute value for the curvature normalization metric_scale = 4.
-    Degenerate triples (two projectively equal points) return 0 with the
-    ``degenerate`` flag set.
+    Vertices may be interior or ideal.  The Kahler form is the curvature of
+    the tautological line bundle, so the area is the holonomy phase
+
+        (metric_scale / 4) * 2 arg(-<X,Y><Y,Z><Z,X>)
+
+    for any lifts (Goldman, Complex Hyperbolic Geometry, 7.1; Toledo 1989).
+    It is alternating in the arguments and bounded by pi in absolute value
+    for metric_scale = 4.  Degenerate triples (two projectively equal
+    points) return 0 with the ``degenerate`` flag set.
+
+    ``tol`` is the accuracy the caller needs: a ``ValueError`` is raised
+    when the rounding bound ``err_estimate`` exceeds it, as happens when two
+    ideal vertices nearly coincide and their pairing loses its phase.
     """
     for a, b in ((x, y), (y, z), (z, x)):
         if a.kind == b.kind and a.same_point_as(b):
             return TriangleArea(0.0, 0.0, degenerate=True)
-    side = _side_curve(y.lift, y.kind, z.lift, z.kind)
-    F = _cone_integrand(model.metric_scale, x.lift, x.kind, side)
-    val, err, n = integrate_unit_square(F, tol=tol)
-    return TriangleArea(val, err, degenerate=False, panels=n)
+    X, Y, Z = x.lift, y.lift, z.lift
+    half = model.metric_scale / 2.0
+    value = half * float(np.angle(-_triple_product(X, Y, Z)))
+    # a pairing <A,B> is summed with absolute rounding error of order
+    # dim * eps * |A||B|, which turns its phase by that over |<A,B>|; the
+    # two products and the arg add a few eps more
+    cond = 1.0 + sum(
+        np.linalg.norm(A) * np.linalg.norm(B) / abs(_herm(A, B))
+        for A, B in ((X, Y), (Y, Z), (Z, X))
+    )
+    err = float(half * (model.dim + 2) * np.finfo(float).eps * cond)
+    if err > tol:
+        raise ValueError(
+            f"area rounding bound {err:.2e} exceeds tol {tol:.2e}: "
+            "two vertices nearly coincide"
+        )
+    return TriangleArea(value, err)

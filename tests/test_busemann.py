@@ -16,6 +16,7 @@ from chaingeo import (
     unit_mass_check,
     volume_entropy,
 )
+from chaingeo import verify
 from chaingeo.busemann import busemann_kappa
 
 from conftest import random_boundary, random_interior
@@ -139,3 +140,9 @@ def test_measure_transform_negative_control(plane2):
         plane2, g, n_samples=100_000, seed=3, entropy=ent, h_override=1.3 * ent.value
     )
     assert st.max_zscore > 3.0
+
+
+def test_nan_unit_mass_fails_busemann_criterion(monkeypatch):
+    monkeypatch.setattr(verify, "unit_mass_check", lambda *a, **k: (np.nan, 0.01))
+    r = verify.crit05_busemann_machinery(n_samples=2_000, n_points=2, n_isoms=1)
+    assert np.isnan(r["unit_mass_worst_z"]) and not r["passed"]

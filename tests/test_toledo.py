@@ -67,7 +67,8 @@ def test_conjugated_rep_negates(octagon):
     target = HermitianModel(1)
     plus = toledo_surface_group(target, octagon, standard_embedding(1, 1))
     minus = toledo_surface_group(target, conjugate_rep(octagon), standard_embedding(1, 1))
-    # shared quadrature grids mirror exactly under conjugation
+    # conjugation conjugates every pairing exactly, so each area's phase
+    # and rounding bound mirror bit for bit
     assert plus.value == -minus.value
 
 
@@ -127,7 +128,7 @@ def test_milnor_wood_margins():
 def test_gauss_bonnet_cross_oracle(disc):
     # independent of the group machinery: the regular octagon with vertex
     # angle pi/4 has area (8-2)pi - 2pi = 4pi = 2 pi (2g-2); fan-triangulate
-    # its actual vertices and sum quadrature areas
+    # its actual vertices and sum the triangle areas
     from chaingeo import ProjPoint, triangle_area
 
     r_v = np.arccosh(1.0 / (np.tan(np.pi / 8) ** 2))
