@@ -30,7 +30,6 @@ __all__ = [
     "chain_through",
     "chain_contains",
     "k_plane_through",
-    "plane_contains",
     "sample_chain_point",
     "heisenberg_projection",
 ]
@@ -144,14 +143,17 @@ def chain_through(model, xi, eta):
     return Chain(span, orientation=+1, model=model)
 
 
+def _in_span(span, lifts, tol):
+    """Whether each lift (last axis) lies in the column span of ``span``: its
+    least-squares distance to the span is at most ``tol`` times its norm."""
+    u = np.linalg.svd(span, full_matrices=False)[0]  # orthonormal basis
+    res = lifts - (lifts @ u.conj()) @ u.T
+    return np.linalg.norm(res, axis=-1) <= tol * np.linalg.norm(lifts, axis=-1)
+
+
 def chain_contains(C, zeta, tol=1e-8):
     """Whether a boundary point lies on the chain (projective residual test)."""
-    s = C.span
-    # least-squares distance of the lift to the span, relative to its norm
-    q, _ = np.linalg.qr(s)
-    v = zeta.lift
-    res = v - q @ (q.conj().T @ v)
-    return np.linalg.norm(res) <= tol * np.linalg.norm(v)
+    return bool(_in_span(C.span, zeta.lift, tol))
 
 
 def k_plane_through(model, points):
@@ -172,13 +174,6 @@ def k_plane_through(model, points):
     if not (ev[0] < -1e-10 and np.all(ev[1:] > 1e-10)):
         raise ValueError("span is degenerate or of wrong signature")
     return basis
-
-
-def plane_contains(model, basis, zeta, tol=1e-8):
-    """Membership of a boundary point in a k-plane given by a basis."""
-    v = zeta.lift
-    res = v - basis @ (basis.conj().T @ v)
-    return np.linalg.norm(res) <= tol * np.linalg.norm(v)
 
 
 def sample_chain_point(C, t):

@@ -43,17 +43,14 @@ class Isometry:
         if m.shape != (n, n):
             raise ValueError(f"matrix must be {n}x{n}")
         lam = self.form_scale()
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError("matrix does not preserve the form positively")
-        J = _form_diag(self.source_p)
-        res = np.linalg.norm(m.conj().T @ np.diag(J) @ m - lam * np.diag(J))
-        if res > 1e-10 * max(1.0, np.linalg.norm(m) ** 2):
+        res = _form_residual(m, lam, self.source_p, self.source_p)
+        if not res <= 1e-10 * max(1.0, np.linalg.norm(m) ** 2):
             raise ValueError(f"form-preservation residual too large: {res:.2e}")
 
     def form_scale(self):
-        J = _form_diag(self.source_p)
-        g = self.matrix.conj().T @ np.diag(J) @ self.matrix
-        return (np.trace(g @ np.diag(J)).real) / (self.source_p + 1.0)
+        return _pulled_back_form(self.matrix, self.source_p, self.source_p)[1]
 
     def inverse(self):
         return Isometry(np.linalg.inv(self.matrix), self.source_p)
@@ -68,10 +65,20 @@ class Isometry:
         return Isometry(self.matrix.conj(), self.source_p)
 
 
-def _form_diag(p):
-    d = np.ones(p + 1)
-    d[-1] = -1.0
-    return d
+def _pulled_back_form(W, p, q):
+    """(S, lam): the Gram matrix S = W* Jq W of the target form on the source,
+    and its scale lam = tr(Jp S)/(p+1).  W is a form isometry of scale lam
+    exactly when S = lam Jp."""
+    Jp = HermitianModel(p).form_diagonal
+    Jq = HermitianModel(q).form_diagonal
+    S = W.conj().T @ (Jq[:, None] * W)
+    return S, float(np.real(np.trace(np.diag(Jp) @ S)) / (p + 1))
+
+
+def _form_residual(W, lam, p, q):
+    """Frobenius norm of W* Jq W - lam Jp."""
+    S, _ = _pulled_back_form(W, p, q)
+    return float(np.linalg.norm(S - lam * HermitianModel(p).form_matrix))
 
 
 @dataclass(frozen=True)
@@ -88,10 +95,10 @@ class EmbeddingMap:
         object.__setattr__(self, "matrix", W)
         if W.shape != (self.target_q + 1, self.source_p + 1):
             raise ValueError("embedding matrix shape mismatch")
-        Jp = np.diag(_form_diag(self.source_p))
-        Jq = np.diag(_form_diag(self.target_q))
-        res = np.linalg.norm(W.conj().T @ Jq @ W - self.scale * Jp)
-        if res > 1e-9 * max(1.0, np.linalg.norm(W) ** 2):
+        if not self.scale > 0:
+            raise ValueError("embedding scale must be positive")
+        res = _form_residual(W, self.scale, self.source_p, self.target_q)
+        if not res <= 1e-9 * max(1.0, np.linalg.norm(W) ** 2):
             raise ValueError(f"not a form isometry up to scale (residual {res:.2e})")
 
     def push_point(self, x, target_model=None):
@@ -108,10 +115,10 @@ class EmbeddingMap:
             raise ValueError("dimension mismatch")
         q, p = self.target_q, self.source_p
         W = self.matrix / np.sqrt(self.scale)
-        Jq = np.diag(_form_diag(q))
+        Jq = HermitianModel(q).form_matrix
         # columns of W are J-orthonormal with signs (+..+, -); complete them
         # to a basis by J-Gram-Schmidt over the standard basis
-        basis = [(W[:, k], _form_diag(p)[k]) for k in range(p + 1)]
+        basis = list(zip(W.T, HermitianModel(p).form_diagonal))
         for k in range(q + 1):
             if len(basis) == q + 1:
                 break
@@ -172,7 +179,7 @@ def classify(g):
     vals, vecs = np.linalg.eig(m)
     mods = np.abs(vals)
     spread = mods.max() / mods.min()
-    J = _form_diag(g.source_p)
+    J = HermitianModel(g.source_p).form_diagonal
     qs = np.array(
         [float(np.sum(J * np.abs(vecs[:, k]) ** 2)) for k in range(vecs.shape[1])]
     )
@@ -211,7 +218,7 @@ def random_isometry(p, seed, sigma=1.0):
     rng = np.random.default_rng(seed)
     n = p + 1
     A = rng.normal(size=(n, n), scale=sigma) + 1j * rng.normal(size=(n, n), scale=sigma)
-    J = np.diag(_form_diag(p))
+    J = HermitianModel(p).form_matrix
     A = 0.5 * (A - J @ A.conj().T @ J)
     return Isometry(expm(A), p)
 

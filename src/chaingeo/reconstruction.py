@@ -5,10 +5,11 @@ generic triples to generic triples is, at desk scale, the boundary trace
 of an isometric holomorphic embedding.  The fit proceeds in three stages:
 a projective direct linear solve (each sample constrains W xi to the line
 of its target), an alternation of per-sample phase alignment with linear
-least squares, and a Newton projection onto the exact form-isometry
-manifold <Wv, Ww>_q = lambda <v, w>_p.  Samples are trimmed once when
-gross outliers are present, so a small corrupted fraction does not spoil
-the model; the per-sample residual report identifies the outliers.
+least squares, and a projection onto the exact form isometries
+<Wv, Ww>_q = lambda <v, w>_p by the J-polar factor of the generalized
+polar decomposition.  Samples are trimmed once when gross outliers are
+present, so a small corrupted fraction does not spoil the model; the
+per-sample residual report identifies the outliers.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import sqrtm
 
-from .chains import cartan_triple_lifts, chain_contains, chain_through
+from .chains import _in_span, cartan_triple_lifts, chain_contains, chain_through
 from .hermitian import HermitianModel
-from .isometries import EmbeddingMap
+from .isometries import EmbeddingMap, _form_residual, _pulled_back_form
 
 __all__ = [
     "BoundarySampleMap",
@@ -102,16 +104,12 @@ def chain_compatibility_check(sample_map, n_triples=300, seed=0, tol=1e-7):
     ys = [eta for _, eta in sample_map.pairs]
     n = len(xs)
     src = sample_map.source_lifts
-    src_norm = np.linalg.norm(src, axis=1)
     cochain = []
     for _ in range(n_triples * 20):
         i, j = rng.choice(n, size=2, replace=False)
         if xs[i].same_point_as(xs[j]):
             continue
-        q_basis, _ = np.linalg.qr(np.column_stack([xs[i].lift, xs[j].lift]))
-        proj = src @ np.conj(q_basis)
-        res = np.linalg.norm(src - proj @ q_basis.T, axis=1) / src_norm
-        members = np.where(res <= tol)[0]
+        members = np.where(_in_span(src[[i, j]].T, src, tol))[0]
         members = [k for k in members if k not in (i, j)]
         if members:
             k = members[int(rng.integers(len(members)))]
@@ -172,12 +170,11 @@ def _dlt(src, tgt):
     """Direct linear solve: rows constrain W xi to the target line."""
     m, dp = src.shape
     dq = tgt.shape[1]
-    rows = []
-    for i in range(m):
-        eta = tgt[i] / np.linalg.norm(tgt[i])
-        P = np.eye(dq) - np.outer(eta, eta.conj())
-        rows.append(np.kron(P, src[i][None, :]))
-    A = np.concatenate(rows, axis=0)
+    eta = tgt / np.array([np.linalg.norm(t) for t in tgt])[:, None]
+    # P_i = 1 - eta_i eta_i*, the projector off the target line; the row
+    # block of sample i is kron(P_i, src_i)
+    P = np.eye(dq) - eta[:, :, None] * eta.conj()[:, None, :]
+    A = (P[:, :, :, None] * src[:, None, None, :]).reshape(m * dq, dq * dp)
     _, _, vh = np.linalg.svd(A, full_matrices=False)
     w = vh[-1].conj()
     return w.reshape(dq, dp)
@@ -196,43 +193,18 @@ def _alternate(W, src, tgt, sweeps=3):
     return W
 
 
-def _isometry_project_numeric(W, Jp, Jq, iters=60):
-    """Newton projection onto {W : W* Jq W = lambda Jp}; returns (W, lambda)."""
-    dq1, dp1 = W.shape
-
-    def constraint(Wm):
-        S = Wm.conj().T @ (Jq[:, None] * Wm)
-        lam = float(np.real(np.trace(np.diag(Jp) @ S)) / dp1)
-        G = S - lam * np.diag(Jp)
-        iu = np.triu_indices(dp1)
-        vec = np.concatenate([G[iu].real, G[np.triu_indices(dp1, k=1)].imag])
-        return vec, lam
-
-    def pack(Wm):
-        return np.concatenate([Wm.real.ravel(), Wm.imag.ravel()])
-
-    def unpack(v):
-        h = dq1 * dp1
-        return v[:h].reshape(dq1, dp1) + 1j * v[h:].reshape(dq1, dp1)
-
-    x = pack(W)
-    for _ in range(iters):
-        Wm = unpack(x)
-        g0, lam = constraint(Wm)
-        if np.linalg.norm(g0) < 1e-14 * max(1.0, abs(lam)):
-            break
-        J = np.zeros((len(g0), len(x)))
-        eps = 1e-7
-        for k in range(len(x)):
-            xp = x.copy()
-            xp[k] += eps
-            gp, _ = constraint(unpack(xp))
-            J[:, k] = (gp - g0) / eps
-        step, *_ = np.linalg.lstsq(J, -g0, rcond=None)
-        x = x + step
-    Wm = unpack(x)
-    _, lam = constraint(Wm)
-    return Wm, lam
+def _isometry_project(W, p, q):
+    """Project W onto the form isometries {W : W* Jq W = lam Jp} by its
+    J-polar factor W (Jp S / lam)^(-1/2), where S = W* Jq W and
+    lam = tr(Jp S)/(p+1) (the generalized polar decomposition of Higham,
+    Mackey, Mackey and Tisseur, SIAM J. Matrix Anal. Appl. 2005).  Jp S is
+    Jp-selfadjoint, so the factor makes the pulled-back form exactly lam Jp;
+    an exact isometry is left unchanged.  Returns (W, lam)."""
+    S, lam = _pulled_back_form(W, p, q)
+    if not lam > 0:
+        raise NoRigidModelError("fit collapsed onto a non-positive form scale")
+    M = HermitianModel(p).form_diagonal[:, None] * S / lam
+    return W @ np.linalg.inv(sqrtm(M)), lam
 
 
 @dataclass
@@ -281,27 +253,19 @@ def fit_embedding(sample_map, compatibility=None, plateau=1e-4, seed=0):
         trimmed = bad.tolist()
         W = _dlt(src[keep], tgt[keep])
         W = _alternate(W, src[keep], tgt[keep])
-    Jp = np.ones(sample_map.p + 1)
-    Jp[-1] = -1.0
-    Jq = np.ones(sample_map.q + 1)
-    Jq[-1] = -1.0
-    W, lam = _isometry_project_numeric(W, Jp, Jq)
-    if lam <= 0:
-        raise NoRigidModelError("fit collapsed onto a negative form scale")
+    W, lam = _isometry_project(W, sample_map.p, sample_map.q)
     res = _projective_residuals(W, src, tgt)
     clean = np.setdiff1d(np.arange(len(res)), np.array(trimmed, dtype=int))
     med = float(np.median(res[clean]))
-    if med > plateau:
+    if not med <= plateau:
         raise NoRigidModelError(
             f"no rigid model: residual plateau {med:.2e} exceeds {plateau:.0e}"
         )
-    S = W.conj().T @ (Jq[:, None] * W)
-    iso_res = float(np.linalg.norm(S - lam * np.diag(Jp)))
     emb = EmbeddingMap(W, source_p=sample_map.p, target_q=sample_map.q, scale=lam)
     diags = FitDiagnostics(
         residuals=res,
         median_residual=med,
-        isometry_residual=iso_res,
+        isometry_residual=_form_residual(W, lam, sample_map.p, sample_map.q),
         mode=mode,
         trimmed=trimmed,
         compatibility=report,
@@ -322,15 +286,9 @@ def verify_embedding(emb, sample_map, tol=1e-6, mode="holomorphic"):
     tgt = sample_map.target_lifts
     res = _projective_residuals(emb.matrix, src, tgt)
     ok = res < tol
-    Jp = np.ones(sample_map.p + 1)
-    Jp[-1] = -1.0
-    Jq = np.ones(sample_map.q + 1)
-    Jq[-1] = -1.0
-    S = emb.matrix.conj().T @ (Jq[:, None] * emb.matrix)
-    iso = float(np.linalg.norm(S - emb.scale * np.diag(Jp)))
     return {
         "fraction": float(ok.mean()),
-        "isometry_residual": iso,
+        "isometry_residual": _form_residual(emb.matrix, emb.scale, emb.source_p, emb.target_q),
         "mode": mode,
         "failing": np.where(~ok)[0].tolist(),
         "residuals": res,

@@ -62,12 +62,6 @@ from .isometries import Isometry
 __all__ = ["ALL_CRITERIA"]
 
 
-def _random_boundary_lifts(rng, p, n):
-    u = rng.normal(size=(n, p)) + 1j * rng.normal(size=(n, p))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return np.concatenate([u, np.ones((n, 1), dtype=complex)], axis=1) / np.sqrt(2)
-
-
 def _random_interior(model, rng, spread=0.8):
     u = rng.normal(size=model.p) + 1j * rng.normal(size=model.p)
     u *= spread * rng.random() / np.linalg.norm(u)
@@ -88,9 +82,9 @@ def _random_tangent(model, rng, x, unit=True):
 def crit01_cartan_cocycle(seed=7, n_quadruples=10_000, n_pairs=1_000, tol=1e-9):
     """Cocycle identity and invariance of the angular invariant on dH^2."""
     t0 = time.time()
-    model = HermitianModel(2)
+    nu = VisualMeasure(HermitianModel(2))
     rng = np.random.default_rng(seed)
-    x = [_random_boundary_lifts(rng, 2, n_quadruples) for _ in range(4)]
+    x = [nu.sample_lifts(n_quadruples, rng=rng) for _ in range(4)]
     c = cartan_triple_lifts
     alt = (
         c(x[1], x[2], x[3])
@@ -100,7 +94,7 @@ def crit01_cartan_cocycle(seed=7, n_quadruples=10_000, n_pairs=1_000, tol=1e-9):
     )
     cocycle_residual = float(np.max(np.abs(alt)))
     worst_inv = 0.0
-    triples = [_random_boundary_lifts(rng, 2, n_pairs) for _ in range(3)]
+    triples = [nu.sample_lifts(n_pairs, rng=rng) for _ in range(3)]
     for k in range(n_pairs):
         g = random_isometry(2, seed=int(rng.integers(1 << 31)))
         lifts = [t[k : k + 1] for t in triples]
@@ -132,7 +126,7 @@ def crit02_chain_extremality(seed=11, n_each=500):
         val = cartan_triple_lifts(*(p.lift[None] for p in pts))[0]
         on_min = min(on_min, abs(val))
     off_max = 0.0
-    lifts = [_random_boundary_lifts(rng, 2, n_each) for _ in range(3)]
+    lifts = [nu.sample_lifts(n_each, rng=rng) for _ in range(3)]
     off_max = float(np.max(np.abs(cartan_triple_lifts(*lifts))))
     return {
         "name": "chain extremality of the angular invariant",
@@ -168,10 +162,11 @@ def crit03_ideal_triangle_normalization(tol=1e-4):
 def crit04_area_cartan_agreement(seed=13, n_triples=100, tol=1e-4):
     """area/pi equals the angular invariant on random ideal triples."""
     model = HermitianModel(2)
+    nu = VisualMeasure(model)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_triples):
-        lifts = _random_boundary_lifts(rng, 2, 3)
+        lifts = nu.sample_lifts(3, rng=rng)
         pts = [ProjPoint(l, model=model, kind="boundary") for l in lifts]
         area = triangle_area(model, *pts, tol=3e-6)
         cval = cartan_triple_lifts(lifts[0][None], lifts[1][None], lifts[2][None])[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chaingeo import HermitianModel, ProjPoint, tangent
+from chaingeo import HermitianModel, ProjPoint, VisualMeasure, tangent
 
 
 @pytest.fixture
@@ -20,10 +20,7 @@ def rng():
 
 
 def random_boundary(model, rng, n=1):
-    u = rng.normal(size=(n, model.p)) + 1j * rng.normal(size=(n, model.p))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    lifts = np.concatenate([u, np.ones((n, 1), dtype=complex)], axis=1) / np.sqrt(2)
-    pts = [ProjPoint(v, model=model, kind="boundary") for v in lifts]
+    pts = VisualMeasure(model).sample_points(n, rng=rng)
     return pts[0] if n == 1 else pts
 
 

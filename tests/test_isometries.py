@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chaingeo import (
+    EmbeddingMap,
     HermitianModel,
     Isometry,
     apply_isometry,
@@ -24,6 +25,20 @@ def test_isometry_invariant_enforced():
     bad = np.array([[2.0, 0.0], [0.0, 0.5]], dtype=complex)  # not in U(1,1)
     with pytest.raises(ValueError):
         Isometry(bad, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Isometry(np.full((3, 3), np.nan), 2),
+        lambda: EmbeddingMap(np.full((3, 3), np.nan), 2, 2),
+        lambda: EmbeddingMap(np.zeros((3, 3)), 2, 2, scale=0.0),
+    ],
+    ids=["isometry-nan", "embedding-nan", "embedding-zero-scale"],
+)
+def test_nonfinite_or_degenerate_matrix_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_apply_identity_and_inverse(plane2, rng):

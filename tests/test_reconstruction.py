@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaingeo import (
     BoundarySampleMap,
@@ -7,9 +9,14 @@ from chaingeo import (
     NoRigidModelError,
     chain_compatibility_check,
     fit_embedding,
+    random_isometry,
+    standard_embedding,
     verify_embedding,
 )
+from chaingeo import reconstruction
 from chaingeo.chains import cartan_triple_lifts
+from chaingeo.isometries import _form_residual
+from chaingeo.reconstruction import CompatibilityReport, _isometry_project
 from chaingeo.verify import _planted_sample_map
 
 
@@ -30,6 +37,21 @@ def test_compatibility_planted(rng):
     assert rep.image_cochain_fraction == 1.0
     assert rep.orientation_match_fraction == 1.0
     assert rep.image_generic_fraction == 1.0
+
+
+def test_compatibility_report_pinned():
+    """Mined co-chain triples and every fraction of a fixed planted map: a
+    change in the span-membership test shared by the co-chain mining loop
+    and ``chain_contains`` shows here."""
+    smap = _planted_sample_map(np.random.default_rng(3), 2, 2, 152)[0]
+    assert chain_compatibility_check(smap, seed=1) == CompatibilityReport(
+        cochain_triples=18,
+        image_cochain_fraction=1.0,
+        orientation_match_fraction=1.0,
+        generic_triples=300,
+        image_generic_fraction=1.0,
+        note="",
+    )
 
 
 def test_compatibility_scrambled(rng):
@@ -131,3 +153,62 @@ def test_cartan_transport_of_fit(rng):
         cq = cartan_triple_lifts(img[0][None], img[1][None], img[2][None])[0]
         worst = max(worst, abs(cp - cq))
     assert worst < 1e-8
+
+
+def test_fit_rejects_nonfinite_projection(rng, monkeypatch):
+    smap, _, _ = _planted_sample_map(rng, 2, 2, 152)
+    monkeypatch.setattr(
+        reconstruction, "_isometry_project", lambda W, p, q: (np.full_like(W, np.nan), 1.0)
+    )
+    with pytest.raises(NoRigidModelError):
+        fit_embedding(smap, seed=0)
+
+
+# swapping the negative basis vector with a positive one pulls the form back
+# with scale -1/3
+@pytest.mark.parametrize(
+    "W", [np.eye(3)[::-1], np.full((3, 3), np.nan)], ids=["negative", "nan"]
+)
+def test_projection_rejects_nonpositive_scale(W):
+    with pytest.raises(NoRigidModelError):
+        _isometry_project(W, 2, 2)
+
+
+def _planted_isometry(p, q, seed):
+    """A form isometry C^{p+1} -> C^{q+1} of random scale, and a unit-norm
+    complex Gaussian direction of the same shape."""
+    rng = np.random.default_rng(seed)
+    W = (
+        random_isometry(q, seed=seed, sigma=0.4).matrix
+        @ standard_embedding(p, q).matrix
+        @ random_isometry(p, seed=seed + 1, sigma=0.4).matrix
+    ) * np.exp(rng.uniform(-2.0, 2.0))
+    N = rng.normal(size=W.shape) + 1j * rng.normal(size=W.shape)
+    return W, N / np.linalg.norm(N)
+
+
+_dims = st.integers(1, 4).flatmap(lambda p: st.tuples(st.just(p), st.integers(p, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dims, st.integers(0, 10_000), st.sampled_from([0.0, 1e-8, 1e-4, 1e-2]))
+def test_projection_lands_on_isometries_and_is_idempotent(dims, seed, noise):
+    p, q = dims
+    W0, N = _planted_isometry(p, q, seed)
+    W, lam = _isometry_project(W0 + noise * np.linalg.norm(W0) * N, p, q)
+    assert _form_residual(W, lam, p, q) <= 1e-12 * lam
+    W2, lam2 = _isometry_project(W, p, q)
+    assert np.linalg.norm(W2 - W) <= 1e-12 * np.linalg.norm(W)
+    assert abs(lam2 - lam) <= 1e-12 * lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dims, st.integers(0, 10_000))
+def test_projection_moves_noisy_isometry_by_the_noise(dims, seed):
+    p, q = dims
+    W0, N = _planted_isometry(p, q, seed)
+    noise = 1e-4 * np.linalg.norm(W0) * N
+    W, _ = _isometry_project(W0 + noise, p, q)
+    # 6.7 |noise| was the largest move over 3000 such draws
+    assert np.linalg.norm(W - (W0 + noise)) <= 10 * np.linalg.norm(noise)
+    assert np.linalg.norm(W - W0) <= 10 * np.linalg.norm(noise)

@@ -47,6 +47,16 @@ def test_rep_rejects_false_relator():
         rep_from_json(payload)
 
 
+def test_rep_rejects_nan_generator():
+    rep = fuchsian_genus2_rep()
+    gens = [matrix_to_json(g.matrix) for g in rep.generators]
+    gens[0][0][0] = [float("nan"), 0.0]
+    # the json module writes and reads NaN literals
+    payload = json.loads(json.dumps({"genus": 2, "generators": gens}))
+    with pytest.raises(ValueError):
+        rep_from_json(payload)
+
+
 def test_word_to_matrix_inverses():
     rep = fuchsian_genus2_rep()
     mats = [g.matrix for g in rep.generators]

@@ -43,7 +43,7 @@ def _crit04_triangles():
     model = HermitianModel(2)
     rng = np.random.default_rng(13)
     return [
-        (model, [ProjPoint(l, model=model, kind="boundary") for l in verify._random_boundary_lifts(rng, 2, 3)])
+        (model, VisualMeasure(model).sample_points(3, rng=rng))
         for _ in range(100)
     ]
 
