@@ -37,14 +37,24 @@ __all__ = [
 DEGENERACY_TOL = 1e-12
 
 
+def _cartan_flagged(X, Y, Z):
+    """Angular invariant of raw lifts and the degeneracy flag, along the
+    last axis.  A triple is degenerate when its triple product is below
+    DEGENERACY_TOL relative to |X|^2 |Y|^2 |Z|^2, so the flag, like the
+    invariant, does not depend on the lifts chosen."""
+    t = _triple_product(X, Y, Z)
+    scale = np.vecdot(X, X).real * np.vecdot(Y, Y).real * np.vecdot(Z, Z).real
+    degenerate = np.abs(t) < DEGENERACY_TOL * scale
+    return np.where(degenerate, 0.0, (2.0 / np.pi) * np.angle(-t)), degenerate
+
+
 def cartan_triple_lifts(lifts1, lifts2, lifts3):
     """Vectorized angular invariant from raw boundary lifts (last axis = C^{p+1}).
 
-    Degenerate triples (vanishing triple product) give 0.
+    Degenerate triples (vanishing triple product, relative to the lift
+    norms) give 0.
     """
-    t = _triple_product(lifts1, lifts2, lifts3)
-    out = (2.0 / np.pi) * np.angle(-t)
-    return np.where(np.abs(t) < DEGENERACY_TOL, 0.0, out)
+    return _cartan_flagged(lifts1, lifts2, lifts3)[0]
 
 
 def cartan_invariant_flagged(model, x1, x2, x3):
@@ -52,10 +62,8 @@ def cartan_invariant_flagged(model, x1, x2, x3):
     for x in (x1, x2, x3):
         if not x.is_boundary:
             raise ValueError("the angular invariant is defined on boundary points")
-    t = _triple_product(x1.lift, x2.lift, x3.lift)
-    if abs(t) < DEGENERACY_TOL:
-        return 0.0, True
-    return float((2.0 / np.pi) * np.angle(-t)), False
+    value, degenerate = _cartan_flagged(x1.lift, x2.lift, x3.lift)
+    return float(value), bool(degenerate)
 
 
 def cartan_invariant(model, x1, x2, x3):
@@ -145,9 +153,13 @@ def chain_through(model, xi, eta):
 
 def _in_span(span, lifts, tol):
     """Whether each lift (last axis) lies in the column span of ``span``: its
-    least-squares distance to the span is at most ``tol`` times its norm."""
+    least-squares distance to the span is at most ``tol`` times its norm.
+
+    A stack of spans (..., p+1, k) tests a matching stack of lift rows
+    (..., m, p+1); each item is computed as by a call of its own.
+    """
     u = np.linalg.svd(span, full_matrices=False)[0]  # orthonormal basis
-    res = lifts - (lifts @ u.conj()) @ u.T
+    res = lifts - (lifts @ u.conj()) @ u.mT
     return np.linalg.norm(res, axis=-1) <= tol * np.linalg.norm(lifts, axis=-1)
 
 

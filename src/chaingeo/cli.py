@@ -59,8 +59,12 @@ def _emit(payload, out_path=None, fmt="json", csv_rows=None):
 
 
 def _load_json(path):
+    """The JSON object held by an input file (every input file holds one)."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _cmd_cartan(args):

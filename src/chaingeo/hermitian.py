@@ -163,18 +163,25 @@ class ProjPoint:
         return f"ProjPoint({self.lift!r}, kind={self.kind!r})"
 
     def same_point_as(self, other, tol=1e-9):
-        """Projective equality test (lift-independent).
+        """Projective equality test (lift-independent); see ``_same_line``."""
+        return bool(_same_line(self.lift, other.lift, tol))
 
-        The distance is the norm of the phase-aligned difference of unit
-        lifts, which stays accurate near zero (no sqrt(1 - cos^2)
-        cancellation).
-        """
-        a = self.lift / np.linalg.norm(self.lift)
-        b = other.lift / np.linalg.norm(other.lift)
-        ph = np.vdot(b, a)
-        if abs(ph) < 1e-300:
-            return False
-        return np.linalg.norm(a - b * (ph / abs(ph))) < tol
+
+def _same_line(A, B, tol=1e-9):
+    """Whether the lifts A and B (last axis, broadcast) span the same line.
+
+    The distance is the norm of the phase-aligned difference of unit
+    lifts, which stays accurate near zero (no sqrt(1 - cos^2)
+    cancellation).  Lifts with a vanishing pairing are never equal.
+    """
+    nA = np.sqrt(np.vecdot(A, A).real)
+    nB = np.sqrt(np.vecdot(B, B).real)
+    ph = np.vecdot(B, A)  # <A, B> up to the norms
+    r = np.abs(ph)
+    # the phase of <A, B> carried onto the unit lift of B
+    w = ph / (np.maximum(r, 1e-300) * nB)
+    diff = A / nA[..., None] - B * w[..., None]
+    return (r >= 1e-300 * nA * nB) & (np.sqrt(np.vecdot(diff, diff).real) < tol)
 
 
 @dataclass

@@ -2,14 +2,22 @@
 
 A boundary map that carries chains to chains with matching orientation and
 generic triples to generic triples is, at desk scale, the boundary trace
-of an isometric holomorphic embedding.  The fit proceeds in three stages:
-a projective direct linear solve (each sample constrains W xi to the line
-of its target), an alternation of per-sample phase alignment with linear
-least squares, and a projection onto the exact form isometries
-<Wv, Ww>_q = lambda <v, w>_p by the J-polar factor of the generalized
-polar decomposition.  Samples are trimmed once when gross outliers are
-present, so a small corrupted fraction does not spoil the model; the
-per-sample residual report identifies the outliers.
+of an isometric holomorphic embedding.
+
+The compatibility gate mines co-chain triples from the samples.  Random
+source pairs are drawn a block at a time; a Gram table of the unit source
+lifts rules out in one pass the samples far from each pair's chain, and
+the span test decides the rest.  The generator is rewound to the first
+pair with members, so the report is the one a pair-by-pair loop gives
+from the same seed.
+
+The fit proceeds in three stages: a projective direct linear solve (each
+sample constrains W xi to the line of its target), an alternation of
+per-sample phase alignment with linear least squares, and a projection
+onto the exact form isometries <Wv, Ww>_q = lambda <v, w>_p by the J-polar
+factor of the generalized polar decomposition.  Samples are trimmed once
+when gross outliers are present, so a small corrupted fraction does not
+spoil the model; the per-sample residual report identifies the outliers.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import sqrtm
 
-from .chains import _in_span, cartan_triple_lifts, chain_contains, chain_through
-from .hermitian import HermitianModel
+from .chains import _in_span, cartan_triple_lifts
+from .hermitian import HermitianModel, _same_line
 from .isometries import EmbeddingMap, _form_residual, _pulled_back_form
 
 __all__ = [
@@ -89,70 +97,143 @@ class CompatibilityReport:
         )
 
 
+# pairs drawn per block of the co-chain mining loop: blocks grow from
+# _FIRST_BLOCK after each hit, since a hit discards the rest of its block,
+# up to _MINING_BLOCK (a block's Gram rows then stay in cache)
+_FIRST_BLOCK = 8
+_MINING_BLOCK = 64
+# a pair of unit lifts with 1 - |<a, b>|^2 below this sends every lift to
+# _in_span: the Gram residual divides by that quantity and loses accuracy
+_NEAR_PAIR = 1e-4
+# the Gram prefilter rules a lift out only when its squared residual exceeds
+# tol^2 by this much; away from near pairs its rounding error is below 1e-10
+_GRAM_SLACK = 1e-8
+
+
+def _unit_gram(lifts):
+    """Euclidean Gram table E[a, z] = conj(u_a) . u_z of the unit lifts u."""
+    unit = lifts / np.linalg.norm(lifts, axis=-1, keepdims=True)
+    return unit.conj() @ unit.T
+
+
+def _sq(z):
+    return z.real**2 + z.imag**2
+
+
+def _span_members(lifts, gram, pairs, tol):
+    """Lifts in the span of each pair's two lifts.
+
+    For each row (a, b) of ``pairs``: the sorted indices z other than a and
+    b with ``_in_span(lifts[[a, b]].T, lifts[z], tol)``, which makes every
+    decision; ``gram`` is ``_unit_gram(lifts)``.  With g = E_ab, the
+    squared distance of the unit lift z from the span is
+
+        r^2 = 1 - |E_az|^2 - |E_bz - conj(g) E_az|^2 / (1 - |g|^2),
+
+    and it only rules out the lifts it puts beyond tol^2 + _GRAM_SLACK; a
+    near pair (1 - |g|^2 < _NEAR_PAIR) sends all of them to ``_in_span``.
+    """
+    a, b = pairs[:, 0], pairs[:, 1]
+    Ea = gram[a]
+    g = gram[a, b][:, None]
+    h = 1.0 - _sq(g)
+    near = h < _NEAR_PAIR
+    r2 = 1.0 - _sq(Ea) - _sq(gram[b] - g.conj() * Ea) / np.where(near, 1.0, h)
+    cand = near | (r2 <= tol**2 + _GRAM_SLACK)
+    rows = np.arange(len(pairs))
+    cand[rows, a] = cand[rows, b] = False
+    members = [np.empty(0, dtype=int)] * len(pairs)
+    for t in np.flatnonzero(cand.any(axis=1)):
+        z = np.flatnonzero(cand[t])
+        members[t] = z[_in_span(lifts[pairs[t]].T, lifts[z], tol)]
+    return members
+
+
+def _mine_cochain(rng, lifts, n_triples, tol):
+    """Up to ``n_triples`` co-chain triples (i, j, k) within 20 * n_triples
+    pair draws: i, j a random pair of distinct points and k a random other
+    sample on the chain through them.
+
+    The pair draws do not depend on membership, so they are made a block at
+    a time and the block is tested at once.  The generator then goes back to
+    just after the first pair with members, draws k and the next block
+    starts there: every draw is the one a pair-by-pair loop would make.
+    """
+    n = len(lifts)
+    gram = _unit_gram(lifts)
+    bits = rng.bit_generator
+    cochain = []
+    budget = 20 * n_triples
+    since = 0  # pairs drawn since the last hit
+    while budget > 0 and len(cochain) < n_triples:
+        pairs = np.empty((min(_MINING_BLOCK, budget, _FIRST_BLOCK + since), 2), dtype=int)
+        states = []
+        for t in range(len(pairs)):
+            pairs[t] = rng.choice(n, size=2, replace=False)
+            states.append(bits.state)
+        distinct = np.flatnonzero(~_same_line(lifts[pairs[:, 0]], lifts[pairs[:, 1]]))
+        members = _span_members(lifts, gram, pairs[distinct], tol)
+        hit = next(((t, m) for t, m in zip(distinct, members) if len(m)), None)
+        if hit is None:
+            budget -= len(pairs)
+            since += len(pairs)
+            continue
+        t, m = hit
+        bits.state = states[t]
+        cochain.append((*pairs[t], m[rng.integers(len(m))]))
+        budget -= t + 1
+        since = 0
+    return np.array(cochain, dtype=int).reshape(-1, 3)
+
+
+def _on_chain(lifts, triples, tol):
+    """Whether lift k lies on the chain through lifts i and j, for each row
+    (i, j, k) of ``triples``."""
+    i, j, k = triples.T
+    return _in_span(np.stack([lifts[i], lifts[j]], axis=-1), lifts[k][:, None], tol)[:, 0]
+
+
 def chain_compatibility_check(sample_map, n_triples=300, seed=0, tol=1e-7):
     """Fractions of chain-compatible and genericity-compatible triples.
 
     Co-chain triples are mined from the samples themselves: for random
     index pairs the chain through the two source points is intersected
-    with the remaining samples.  Reports fractions with counts; too few
-    co-chain triples is reported, not raised.
+    with the remaining samples (see ``_mine_cochain``).  Their images must
+    lie on one chain with the same orientation; random generic triples
+    must have generic images, and a triple whose image pair is one point
+    does not.  Reports fractions with counts; too few co-chain triples is
+    reported, not raised.
     """
     rng = np.random.default_rng(seed)
-    model_p = HermitianModel(sample_map.p)
-    model_q = HermitianModel(sample_map.q)
-    xs = [xi for xi, _ in sample_map.pairs]
-    ys = [eta for _, eta in sample_map.pairs]
-    n = len(xs)
     src = sample_map.source_lifts
-    cochain = []
-    for _ in range(n_triples * 20):
-        i, j = rng.choice(n, size=2, replace=False)
-        if xs[i].same_point_as(xs[j]):
-            continue
-        members = np.where(_in_span(src[[i, j]].T, src, tol))[0]
-        members = [k for k in members if k not in (i, j)]
-        if members:
-            k = members[int(rng.integers(len(members)))]
-            cochain.append((i, j, k))
-        if len(cochain) >= n_triples:
-            break
-    img_cochain = 0
-    orient_match = 0
-    for i, j, k in cochain:
-        if ys[i].same_point_as(ys[j]):
-            continue
-        Cq = chain_through(model_q, ys[i], ys[j])
-        if chain_contains(Cq, ys[k], tol=max(tol, 1e-6)):
-            img_cochain += 1
-            cp = cartan_triple_lifts(
-                xs[i].lift[None], xs[j].lift[None], xs[k].lift[None]
-            )[0]
-            cq = cartan_triple_lifts(
-                ys[i].lift[None], ys[j].lift[None], ys[k].lift[None]
-            )[0]
-            if np.sign(cp) == np.sign(cq):
-                orient_match += 1
-    generic = 0
-    img_generic = 0
-    for _ in range(n_triples):
-        i, j, k = rng.choice(n, size=3, replace=False)
-        if xs[i].same_point_as(xs[j]) or xs[j].same_point_as(xs[k]):
-            continue
-        C = chain_through(model_p, xs[i], xs[j])
-        if chain_contains(C, xs[k], tol=tol):
-            continue
-        generic += 1
-        Cq = chain_through(model_q, ys[i], ys[j])
-        if not chain_contains(Cq, ys[k], tol=max(tol, 1e-6)):
-            img_generic += 1
-    note = "" if cochain else "no co-chain triples found among the samples"
+    tgt = sample_map.target_lifts
+    tol_q = max(tol, 1e-6)
+    cochain = _mine_cochain(rng, src, n_triples, tol)
+    # the generic triples are drawn after all the mining draws
+    draws = [rng.choice(len(src), size=3, replace=False) for _ in range(n_triples)]
+    triples = np.array(draws, dtype=int).reshape(-1, 3)
+
+    i, j, k = cochain.T
+    on_image = ~_same_line(tgt[i], tgt[j]) & _on_chain(tgt, cochain, tol_q)
+    cp = cartan_triple_lifts(src[i], src[j], src[k])
+    cq = cartan_triple_lifts(tgt[i], tgt[j], tgt[k])
+    img_cochain = int(on_image.sum())
+    orient_match = int((on_image & (np.sign(cp) == np.sign(cq))).sum())
+
+    i, j, k = triples.T
+    generic = ~(_same_line(src[i], src[j]) | _same_line(src[j], src[k]))
+    generic &= ~_on_chain(src, triples, tol)
+    img_generic = generic & ~_same_line(tgt[i], tgt[j]) & ~_on_chain(tgt, triples, tol_q)
+    n_generic = int(generic.sum())
+
     nc = len(cochain)
+    note = "" if nc else "no co-chain triples found among the samples"
     return CompatibilityReport(
         cochain_triples=nc,
         image_cochain_fraction=img_cochain / nc if nc else 0.0,
         orientation_match_fraction=orient_match / max(1, img_cochain),
-        generic_triples=generic,
-        image_generic_fraction=img_generic / generic if generic else 1.0,
+        generic_triples=n_generic,
+        image_generic_fraction=int(img_generic.sum()) / n_generic if n_generic else 1.0,
         note=note,
     )
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chaingeo import (
+    HermitianModel,
     ProjPoint,
     cartan_invariant,
     cartan_invariant_flagged,
@@ -12,6 +15,7 @@ from chaingeo import (
     k_plane_through,
     sample_chain_point,
 )
+from chaingeo.busemann import VisualMeasure
 from chaingeo.chains import cartan_triple_lifts
 from chaingeo.isometries import apply_isometry, random_isometry
 
@@ -53,6 +57,23 @@ def test_cartan_lift_independent(plane2, rng):
     scaled = lifts * scales[:, None]
     c2 = cartan_triple_lifts(scaled[0][None], scaled[1][None], scaled[2][None])[0]
     assert_allclose(c1, c2, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 10_000),
+    st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
+    st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
+)
+def test_cartan_invariant_free_of_lift_scale(p, seed, log_scales, phases):
+    """The invariant is a function of the points: rescaling the lifts by
+    1e-6..1e6 and any phases does not change it, nor make a generic triple
+    read as degenerate."""
+    lifts = VisualMeasure(HermitianModel(p), seed=seed).sample_lifts(3)
+    c = cartan_triple_lifts(*lifts)
+    scales = 10.0 ** np.array(log_scales) * np.exp(1j * np.array(phases))
+    assert abs(cartan_triple_lifts(*(lifts * scales[:, None])) - c) <= 1e-12
 
 
 def test_cartan_cocycle_identity(plane2, rng):

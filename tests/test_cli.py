@@ -87,16 +87,29 @@ def test_cli_delta_form(capsys):
     assert data["N"] == 20000 and data["seed"] == 2
 
 
+def test_cli_chain_rejects_json_list(tmp_path, capsys, plane2, rng):
+    pts = [random_boundary(plane2, rng) for _ in range(3)]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([point_to_json(p) for p in pts]))
+    code = main(["chain", "--p", "2", "--points", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def _samples_file(tmp_path, pairs):
+    path = tmp_path / "samples.json"
+    path.write_text(
+        json.dumps(
+            {"p": 2, "q": 2, "pairs": [[point_to_json(a), point_to_json(b)] for a, b in pairs]}
+        )
+    )
+    return str(path)
+
+
 def test_cli_reconstruct_roundtrip(tmp_path, capsys, rng):
     smap, _, _ = _planted_sample_map(rng, 2, 2, 152)
-    payload = {
-        "p": 2,
-        "q": 2,
-        "pairs": [[point_to_json(a), point_to_json(b)] for a, b in smap.pairs],
-    }
-    path = tmp_path / "samples.json"
-    path.write_text(json.dumps(payload))
-    code, data = run_cli(capsys, ["reconstruct", "--samples", str(path)])
+    code, data = run_cli(capsys, ["reconstruct", "--samples", _samples_file(tmp_path, smap.pairs)])
     assert code == 0
     assert data["fit"]["rejected"] is False
     assert data["fit"]["fraction_verified"] == 1.0
@@ -104,16 +117,19 @@ def test_cli_reconstruct_roundtrip(tmp_path, capsys, rng):
 
 def test_cli_reconstruct_rejects_scramble(tmp_path, capsys, rng):
     smap, _, _ = _planted_sample_map(rng, 2, 2, 152, scramble=True)
-    payload = {
-        "p": 2,
-        "q": 2,
-        "pairs": [[point_to_json(a), point_to_json(b)] for a, b in smap.pairs],
-    }
-    path = tmp_path / "samples.json"
-    path.write_text(json.dumps(payload))
-    code, data = run_cli(capsys, ["reconstruct", "--samples", str(path)])
+    code, data = run_cli(capsys, ["reconstruct", "--samples", _samples_file(tmp_path, smap.pairs)])
     assert code == 2
     assert data["fit"]["rejected"] is True
+
+
+def test_cli_reconstruct_rejects_collapsed_map(tmp_path, capsys, rng):
+    smap, _, _ = _planted_sample_map(rng, 2, 2, 152)
+    first = smap.pairs[0][1]
+    pairs = [(x, first) for x, _ in smap.pairs]
+    code, data = run_cli(capsys, ["reconstruct", "--samples", _samples_file(tmp_path, pairs)])
+    assert code == 2
+    assert data["fit"]["rejected"] is True
+    assert data["compatibility"]["image_cochain_fraction"] == 0.0
 
 
 def test_cli_finite_model(capsys):

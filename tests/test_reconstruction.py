@@ -14,10 +14,17 @@ from chaingeo import (
     verify_embedding,
 )
 from chaingeo import reconstruction
-from chaingeo.chains import cartan_triple_lifts
+from chaingeo.chains import _in_span, cartan_triple_lifts
 from chaingeo.isometries import _form_residual
-from chaingeo.reconstruction import CompatibilityReport, _isometry_project
+from chaingeo.reconstruction import (
+    CompatibilityReport,
+    _isometry_project,
+    _span_members,
+    _unit_gram,
+)
 from chaingeo.verify import _planted_sample_map
+
+from compat_oracle import compatibility_loop
 
 
 def test_sample_map_minimum_count(plane2, rng):
@@ -52,6 +59,89 @@ def test_compatibility_report_pinned():
         image_generic_fraction=1.0,
         note="",
     )
+
+
+def _collapsed(smap, every=1):
+    """The map sending every ``every``-th source sample to the first target."""
+    first = smap.pairs[0][1]
+    pairs = [(x, first if n % every == 0 else y) for n, (x, y) in enumerate(smap.pairs)]
+    return BoundarySampleMap(pairs=pairs, p=smap.p, q=smap.q)
+
+
+_ORACLE_MAPS = {
+    "planted22": lambda: _planted_sample_map(np.random.default_rng(5), 2, 2, 152)[0],
+    "planted23": lambda: _planted_sample_map(np.random.default_rng(6), 2, 3, 152)[0],
+    "conjugated": lambda: _planted_sample_map(
+        np.random.default_rng(7), 2, 2, 152, conjugate=True
+    )[0],
+    "scrambled": lambda: _planted_sample_map(
+        np.random.default_rng(8), 2, 2, 152, scramble=True
+    )[0],
+    "collapsed": lambda: _collapsed(_planted_sample_map(np.random.default_rng(9), 2, 2, 152)[0]),
+    # triples whose image pair is one point and whose third image is not
+    "half-collapsed": lambda: _collapsed(
+        _planted_sample_map(np.random.default_rng(9), 2, 2, 152)[0], every=2
+    ),
+    # three chains of 20 points: about one pair in five has members, so
+    # blocks end early and mining stops on the count, not the budget
+    "dense": lambda: _planted_sample_map(
+        np.random.default_rng(10), 2, 2, 20, n_chain_groups=3, pts_per_chain=20
+    )[0],
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_MAPS))
+@pytest.mark.parametrize("n_triples, seed", [(300, 1), (30, 0), (30, 7)])
+def test_compatibility_matches_pair_loop(name, n_triples, seed):
+    """The blocked check replays the pair-by-pair loop's draws and decisions;
+    with 30 triples the budget of 600 pairs runs out inside a block."""
+    smap = _ORACLE_MAPS[name]()
+    rep = chain_compatibility_check(smap, n_triples=n_triples, seed=seed)
+    assert rep == compatibility_loop(smap, n_triples=n_triples, seed=seed)
+
+
+def test_span_members_match_in_span():
+    """The Gram prefilter drops no lift that ``_in_span`` accepts, for a
+    regular pair, a near pair (1 - |g|^2 ~ 1e-5) and a nearly coincident
+    pair (~1e-12), each with lifts at 0.99 and 1.01 tol from its span."""
+    rng = np.random.default_rng(8)
+    tol = 1e-7
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    L = np.array([unit(v) for v in gauss(40, 3)])
+    L[1] = unit(L[0] + 3e-3 * unit(gauss(3)))
+    L[2] = unit(L[0] + 1e-6 * unit(gauss(3)))
+    planted = {}  # index -> (pair, member?)
+    slot = 3
+    for pair in ((10, 11), (0, 1), (0, 2)):
+        q = np.linalg.qr(L[list(pair)].T, mode="complete")[0]
+        for f in (0.99, 1.01):
+            eps = f * tol / np.sqrt(1.0 - (f * tol) ** 2)
+            L[slot] = unit(q[:, :2] @ unit(gauss(2)) + eps * q[:, 2])
+            planted[slot] = (pair, f < 1)
+            slot += 1
+    gram = _unit_gram(L)
+    assert 1 - abs(gram[0, 1]) ** 2 < 1e-4 and 1 - abs(gram[0, 2]) ** 2 < 1e-10
+    pairs = np.array([(a, b) for a in range(40) for b in range(40) if a != b])
+    members = _span_members(L, gram, pairs, tol)
+    for (a, b), got in zip(pairs, members):
+        want = [z for z in np.flatnonzero(_in_span(L[[a, b]].T, L, tol)) if z not in (a, b)]
+        assert got.tolist() == want
+    for z, (pair, inside) in planted.items():
+        for a, b in (pair, pair[::-1]):
+            row = next(t for t, (u, v) in enumerate(pairs) if (u, v) == (a, b))
+            assert (z in members[row]) == inside
+
+
+def test_collapsed_map_rejected(rng):
+    smap = _collapsed(_planted_sample_map(rng, 2, 2, 152)[0])
+    with pytest.raises(NoRigidModelError):
+        fit_embedding(smap, seed=0)
 
 
 def test_compatibility_scrambled(rng):
