@@ -4,15 +4,19 @@ The Busemann cocycle is computed by the closed form
 
     B_xi(x, y) = kappa * log( |<X,xi>|^2 <Y,Y> / (|<Y,xi>|^2 <X,X>) ),
 
-which is projectively well defined and additive in (x, y) exactly.  The
-constant kappa is not hard-coded: it is derived once per model by the
-distance-limit oracle B_xi(x,y) = lim_t [d(x, gamma(t)) - d(y, gamma(t))]
-along the ray toward xi, and cached.  The sign convention makes B decrease
-toward xi, so the weight
+which is projectively well defined and additive in (x, y) exactly.  Distances
+are sqrt(metric_scale) * arccosh sqrt(delta), so the distance-limit
+definition B_xi(x,y) = lim_t [d(x, gamma(t)) - d(y, gamma(t))] along the ray
+toward xi gives kappa = sqrt(metric_scale)/2; the tests keep that limit as
+an independent oracle.  The sign convention makes B decrease toward xi, so
+the weight
 
     e_xi(x) = exp(-h * B_xi(x, 0))
 
-grows toward xi and integrates to 1 against the visual measure.
+grows toward xi and integrates to 1 against the visual measure.  Here h is
+the volume entropy of H_C^p, 2p/sqrt(metric_scale): geodesic spheres have
+one Jacobi direction of curvature -4/metric_scale and 2p-2 of curvature
+-1/metric_scale, so their area grows like exp(2p r/sqrt(metric_scale)).
 
 The visual measure nu_0 at the origin is the round measure: uniform on the
 unit sphere of the positive coordinates in the canonical chart, which is
@@ -24,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .hermitian import ProjPoint, distance, geodesic, _herm
+from .hermitian import ProjPoint, _herm
 
 __all__ = [
     "VisualMeasure",
@@ -41,17 +44,13 @@ __all__ = [
     "unit_mass_check",
 ]
 
-_KAPPA_CACHE: dict = {}
-_ENTROPY_CACHE: dict = {}
-
 
 @dataclass(frozen=True)
 class Entropy:
-    """Volume growth exponent of the model, from the ball-growth fit."""
+    """Volume growth exponent of the model, 2p/sqrt(metric_scale)."""
 
     value: float
     p: int
-    fit_residual: float = 0.0
 
 
 class VisualMeasure:
@@ -100,25 +99,10 @@ def _log_ratio(xi_lift, X, Y):
 def busemann_kappa(model):
     """Calibration constant of the closed-form Busemann cocycle.
 
-    Derived from the distance-limit definition at t = 30 along a fixed ray
-    and cached per (p, metric_scale).  For the curvature normalization the
-    value is sqrt(metric_scale)/2.
+    sqrt(metric_scale)/2, the value at which the closed form equals the
+    distance-limit definition (1 at the default scale 4).
     """
-    key = (model.p, round(model.metric_scale, 12))
-    if key in _KAPPA_CACHE:
-        return _KAPPA_CACHE[key]
-    xi_lift = np.zeros(model.dim, dtype=complex)
-    xi_lift[0] = 1.0 / np.sqrt(2.0)
-    xi_lift[-1] = 1.0 / np.sqrt(2.0)
-    xi = ProjPoint(xi_lift, model=model, kind="boundary")
-    y = model.basepoint()
-    x = geodesic(model, y, xi, 0.7)  # any interior point off the basepoint
-    t = 30.0
-    far = geodesic(model, y, xi, t)
-    b_limit = distance(model, x, far) - distance(model, y, far)
-    kappa = b_limit / _log_ratio(xi.lift, x.lift, y.lift)
-    _KAPPA_CACHE[key] = float(kappa)
-    return _KAPPA_CACHE[key]
+    return float(np.sqrt(model.metric_scale) / 2.0)
 
 
 def busemann(model, xi, x, y):
@@ -150,52 +134,13 @@ def e_xi_lifts(model, entropy, xi_lifts, X):
     return np.exp(-entropy.value * busemann_lifts(model, xi_lifts, X, zero.lift))
 
 
-def _ball_volume_integrand(model):
-    """Radial volume density (up to a constant) in geodesic polar coordinates.
-
-    One Jacobi direction has curvature -4/metric_scale, the remaining 2p-2
-    have curvature -1/metric_scale.
-    """
-    s = np.sqrt(model.metric_scale)
-    two_p_minus_2 = 2 * model.p - 2
-
-    def A(t):
-        return np.sinh(2.0 * t / s) * np.sinh(t / s) ** two_p_minus_2
-
-    return A
-
-
-def volume_entropy(model, r_lo=5.0, r_hi=15.0, n_grid=41, max_rel_residual=0.02):
+def volume_entropy(model):
     """Exponential growth rate of geodesic ball volumes.
 
-    Fits log vol B(r) = c + h r + b exp(-2r/sqrt(metric_scale)) on a grid
-    in [r_lo, r_hi]; the subexponential term captures the curvature
-    correction so the slope h is sharp.  Cached per model.  Raises if the
-    relative fit residual exceeds ``max_rel_residual``.
+    2p/sqrt(metric_scale) for H_C^p (p at the default scale 4), the one
+    exponent at which the weights e_xi have unit visual mass.
     """
-    key = (model.p, round(model.metric_scale, 12), r_lo, r_hi, n_grid)
-    if key in _ENTROPY_CACHE:
-        return _ENTROPY_CACHE[key]
-    A = _ball_volume_integrand(model)
-    rs = np.linspace(r_lo, r_hi, n_grid)
-    vols = []
-    acc = 0.0
-    prev = 0.0
-    for r in rs:
-        val, _ = quad(A, prev, r, limit=200)
-        acc += val
-        prev = r
-        vols.append(acc)
-    logv = np.log(np.asarray(vols))
-    decay = np.exp(-2.0 * rs / np.sqrt(model.metric_scale))
-    design = np.column_stack([np.ones_like(rs), rs, decay])
-    coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
-    resid = np.linalg.norm(design @ coef - logv) / np.linalg.norm(logv)
-    if resid > max_rel_residual:
-        raise RuntimeError(f"ball-volume fit residual {resid:.3e} too large")
-    ent = Entropy(value=float(coef[1]), p=model.p, fit_residual=float(resid))
-    _ENTROPY_CACHE[key] = ent
-    return ent
+    return Entropy(value=float(2 * model.p / np.sqrt(model.metric_scale)), p=model.p)
 
 
 def _test_family(model, lifts):

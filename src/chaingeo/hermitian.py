@@ -88,12 +88,6 @@ class HermitianModel:
         v[-1] = 1.0
         return ProjPoint(v, model=self)
 
-    # arclength in the metric_scale normalization is (sqrt(s)/2) times the
-    # scale-4 arclength used by the lift parameterizations below
-    @property
-    def _unit_per_scale4(self):
-        return np.sqrt(self.metric_scale) / 2.0
-
 
 def inner(model, X, Y):
     """Hermitian form <X, Y> of signature (p, 1); sesquilinear, linear in X.

@@ -48,6 +48,7 @@ from .projective import (
 from .reconstruction import (
     BoundarySampleMap,
     NoRigidModelError,
+    _projective_residuals,
     fit_embedding,
 )
 from .toledo import (
@@ -81,7 +82,7 @@ def _random_tangent(model, rng, x, unit=True):
 
 def crit01_cartan_cocycle(seed=7, n_quadruples=10_000, n_pairs=1_000, tol=1e-9):
     """Cocycle identity and invariance of the angular invariant on dH^2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     nu = VisualMeasure(HermitianModel(2))
     rng = np.random.default_rng(seed)
     x = [nu.sample_lifts(n_quadruples, rng=rng) for _ in range(4)]
@@ -102,13 +103,12 @@ def crit01_cartan_cocycle(seed=7, n_quadruples=10_000, n_pairs=1_000, tol=1e-9):
         worst_inv = np.maximum(
             worst_inv, abs(float(c(*moved)[0]) - float(c(*lifts)[0]))
         )
-    runtime = time.time() - t0
+    in_budget = time.perf_counter() - t0 < 10.0
     return {
         "name": "cartan cocycle identity and invariance",
         "cocycle_residual": cocycle_residual,
         "invariance_residual": worst_inv,
-        "runtime_s": runtime,
-        "passed": cocycle_residual < tol and worst_inv < tol and runtime < 10.0,
+        "passed": cocycle_residual < tol and worst_inv < tol and in_budget,
     }
 
 
@@ -296,7 +296,7 @@ def crit07_closedness(seed=23, n_points=20, n_samples=200_000, step=1e-3):
 
 def crit08_toledo(tol=1e-3):
     """Fuchsian genus-2 gives 1; conjugation gives -1; trivial gives 0."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     target = HermitianModel(1)
     emb = standard_embedding(1, 1)
     rep = fuchsian_genus2_rep()
@@ -306,7 +306,7 @@ def crit08_toledo(tol=1e-3):
     trivial = SurfaceGroupRep(genus=2, generators=[ident] * 4)
     res_triv = toledo_surface_group(target, trivial, emb, tol=1e-6)
     mw, margin = milnor_wood_check(res, 1, 1)
-    runtime = time.time() - t0
+    in_budget = time.perf_counter() - t0 < 30.0
     return {
         "name": "toledo invariant of surface groups",
         "fuchsian": res.value,
@@ -314,13 +314,12 @@ def crit08_toledo(tol=1e-3):
         "trivial": res_triv.value,
         "milnor_wood_ok": mw,
         "milnor_wood_margin": margin,
-        "runtime_s": runtime,
         "passed": (
             abs(res.value - 1.0) < tol
             and abs(res_conj.value + 1.0) < tol
             and abs(res_triv.value) < 1e-12
             and mw
-            and runtime < 30.0
+            and in_budget
         ),
     }
 
@@ -447,11 +446,7 @@ def crit12_reconstruction(seed=41, n_instances=50, n_pairs=152, holdout=100):
         nu = VisualMeasure(model_p, seed=seed + 500 + k)
         held_src = nu.sample_lifts(holdout, rng=rng)
         truth = held_src @ (g.matrix @ emb.matrix).T
-        fitted_img = held_src @ fitted.matrix.T
-        ip = np.abs(np.sum(fitted_img * np.conj(truth), axis=1))
-        n1 = np.linalg.norm(fitted_img, axis=1)
-        n2 = np.linalg.norm(truth, axis=1)
-        err = np.sqrt(np.clip(1 - (ip / (n1 * n2)) ** 2, 0, 1))
+        err = _projective_residuals(fitted.matrix, held_src, truth)
         worst_holdout = np.maximum(worst_holdout, float(err.max()))
         ok = ok and err.max() < 1e-6
     rejected = 0
@@ -472,7 +467,7 @@ def crit12_reconstruction(seed=41, n_instances=50, n_pairs=152, holdout=100):
 
 def crit13_appendix_exactness(seed=43, n_functions=100):
     """Kernel properties and homotopy identity, exact over the rationals."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     ok = True
     for name, weights in (
@@ -495,11 +490,10 @@ def crit13_appendix_exactness(seed=43, n_functions=100):
                 ident = hdf + dhf
                 if not np.all(ident == f):
                     ok = False
-    runtime = time.time() - t0
+    in_budget = time.perf_counter() - t0 < 60.0
     return {
         "name": "appendix identities, exact rational arithmetic",
-        "runtime_s": runtime,
-        "passed": ok and runtime < 60.0,
+        "passed": ok and in_budget,
     }
 
 

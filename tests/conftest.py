@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chaingeo
 from chaingeo import HermitianModel, ProjPoint, VisualMeasure, tangent
 
 
@@ -46,3 +52,14 @@ def fit_circle(zs):
     center = cx + 1j * cy
     resid = float(np.max(np.abs(np.abs(zs - center) - r)))
     return center, r, resid
+
+
+def run_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this
+    checkout's chaingeo; returns the completed process (stdout as bytes)."""
+    src = str(Path(chaingeo.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, check=True, timeout=300
+    )

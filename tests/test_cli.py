@@ -12,7 +12,7 @@ from chaingeo.serialization import (
 )
 from chaingeo.verify import _planted_sample_map
 
-from conftest import random_boundary
+from conftest import random_boundary, run_python
 
 
 def run_cli(capsys, argv):
@@ -76,6 +76,15 @@ def test_cli_byte_identical(capsys):
     code2 = main(["toledo", "--fuchsian-demo", "--target-q", "1", "--seed", "3"])
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0 and out1 == out2
+
+
+def test_cli_verify_byte_identical_across_processes():
+    # no wall-clock field may reach the payload; the budgets stay in "passed"
+    argv = ["-m", "chaingeo.cli", "verify", "--suite", "cartan-cocycle,toledo"]
+    out1 = run_python(*argv).stdout
+    out2 = run_python(*argv).stdout
+    assert json.loads(out1)["passed"] is True
+    assert out1 == out2
 
 
 def test_cli_delta_form(capsys):
