@@ -70,7 +70,9 @@ class VisualMeasure:
         """(n, p+1) array of boundary lifts, deterministic per (seed, n)."""
         rng = rng or np.random.default_rng(self.seed)
         p = self.model.p
-        u = rng.normal(size=(n, p)) + 1j * rng.normal(size=(n, p))
+        g = rng.standard_normal((2, n, p))  # the draws of two normal(size=(n, p)) calls
+        u = g[0] + 1j * g[1]
+        del g  # not held while the lift arrays below are built
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         lifts = np.concatenate([u, np.ones((n, 1), dtype=complex)], axis=1)
         return lifts / np.sqrt(2.0)
@@ -130,8 +132,14 @@ def e_xi(model, entropy, xi, x):
 
 
 def e_xi_lifts(model, entropy, xi_lifts, X):
-    zero = model.basepoint()
-    return np.exp(-entropy.value * busemann_lifts(model, xi_lifts, X, zero.lift))
+    """Vectorized weight exp(-h B_xi(x, 0)) over an array of boundary lifts.
+
+    The origin's lift is e_{p+1}, so <xi, O> = -xi[..., -1] and <O, O> = -1:
+    the samples are not paired with the origin.
+    """
+    num = -np.abs(_pairings(xi_lifts, X)) ** 2
+    den = np.abs(xi_lifts[..., -1]) ** 2 * _herm(X, X).real
+    return np.exp(-entropy.value * (busemann_kappa(model) * np.log(num / den)))
 
 
 def volume_entropy(model):

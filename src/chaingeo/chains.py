@@ -87,7 +87,10 @@ class Chain:
         gram = np.array(
             [[_herm(s[:, i], s[:, j]) for j in range(2)] for i in range(2)]
         )
-        ev = np.linalg.eigvalsh(gram)
+        # the Gram matrix of the unit columns has the same signature and
+        # does not depend on the scale of the columns
+        norms = np.linalg.norm(s, axis=0)
+        ev = np.linalg.eigvalsh(gram / np.outer(norms, norms))
         if not (ev[0] < -1e-10 and ev[1] > 1e-10):
             raise ValueError("span is not of signature (1,1)")
         if self.orientation not in (+1, -1):
@@ -102,8 +105,10 @@ class Chain:
     def _split_basis(s):
         """Gram-Schmidt a (negative, positive) orthonormal pair out of the span."""
         xi, eta = s[:, 0], s[:, 1]
+        # u and <praw, praw> below scale as |xi| |eta| and |xi|^2
+        n_xi, n_eta = np.linalg.norm(s, axis=0)
         u = _herm(eta, xi)
-        if abs(u) < 1e-14:
+        if abs(u) < 1e-14 * n_xi * n_eta:
             # xi already negative or positive; mix differently
             cand = xi + eta
         else:
@@ -115,7 +120,7 @@ class Chain:
         neg = cand / np.sqrt(-q)
         praw = xi + _herm(xi, neg) * neg
         p2 = _herm(praw, praw).real
-        if p2 < 1e-14:
+        if p2 < 1e-14 * n_xi**2:
             praw = eta + _herm(eta, neg) * neg
             p2 = _herm(praw, praw).real
         pos = praw / np.sqrt(p2)
@@ -231,6 +236,8 @@ def _null_frame(model, xi):
         e[k] = 1.0
         v = e + _herm(e, Y) * X + _herm(e, X) * Y  # remove span(X, Y) components
         n2 = _herm(v, v).real
+        # no lift scale enters v: Y is rescaled so that <X, Y> = -1, which
+        # makes <e, Y> X and <e, X> Y unchanged when X is
         if n2 > 1e-8:
             E = v / np.sqrt(n2)
             break

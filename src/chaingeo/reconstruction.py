@@ -9,7 +9,10 @@ source pairs are drawn a block at a time; a Gram table of the unit source
 lifts rules out in one pass the samples far from each pair's chain, and
 the span test decides the rest.  The generator is rewound to the first
 pair with members, so the report is the one a pair-by-pair loop gives
-from the same seed.
+from the same seed.  Each block of ``rng.choice(n, size=k, replace=False)``
+draws is replayed from one array of 32-bit words (Floyd's sampling over
+Lemire's bounded integers, as numpy draws them); a block that hits
+Lemire's rejection zone is drawn again by ``rng.choice`` itself.
 
 The fit proceeds in three stages: a projective direct linear solve (each
 sample constrains W xi to the line of its target), an alternation of
@@ -149,37 +152,82 @@ def _span_members(lifts, gram, pairs, tol):
     return members
 
 
+def _choice_rows(rng, n, k, rows):
+    """``rows`` draws of ``rng.choice(n, size=k, replace=False)`` from one
+    array of 32-bit words, or None.
+
+    numpy draws Floyd's sample (Bentley and Floyd, CACM 1987) and then
+    shuffles it, each step one Lemire-bounded word (Lemire, ACM TOMACS
+    2019): pick (w * (j + 1)) >> 32 for j = n-k..n-1, taking j when the
+    pick is already taken, then swap places i and (w * (i + 1)) >> 32 for
+    i = k-1..1.  Replaying 2k - 1 words per row gives the same rows and
+    leaves the generator where the ``choice`` calls would.  A word in the
+    rejection zone, (w * r) mod 2^32 < 2^32 mod r, would make numpy draw
+    again; the result is then None, with the generator moved on.
+    """
+    if not k < n < 2**32:
+        return None
+    words = rng.integers(0, 2**32, size=(rows, 2 * k - 1), dtype=np.uint32)
+    bounds = [*range(n - k + 1, n + 1), *range(k, 1, -1)]
+    m = words.astype(np.uint64) * np.array(bounds, dtype=np.uint64)
+    zone = np.array([2**32 % r for r in bounds], dtype=np.uint64)
+    if (m & np.uint64(2**32 - 1) < zone).any():
+        return None
+    pick = (m >> np.uint64(32)).astype(np.int64)
+    out = pick[:, :k].copy()
+    for c in range(1, k):
+        out[(out[:, :c] == pick[:, c:c + 1]).any(axis=1), c] = n - k + c
+    at = np.arange(rows)
+    for c, i in enumerate(range(k - 1, 0, -1), start=k):
+        j = pick[:, c]
+        swap = out[at, j]
+        out[at, j] = out[:, i]
+        out[:, i] = swap
+    return out
+
+
+def _draw_rows(rng, n, k, rows):
+    """The rows of ``_choice_rows``, drawn by ``rng.choice`` row by row when
+    it rejects, and the generator state before them."""
+    start = rng.bit_generator.state
+    out = _choice_rows(rng, n, k, rows)
+    if out is None:
+        rng.bit_generator.state = start
+        draws = [rng.choice(n, size=k, replace=False) for _ in range(rows)]
+        out = np.array(draws, dtype=np.int64).reshape(rows, k)
+    return out, start
+
+
 def _mine_cochain(rng, lifts, n_triples, tol):
     """Up to ``n_triples`` co-chain triples (i, j, k) within 20 * n_triples
     pair draws: i, j a random pair of distinct points and k a random other
     sample on the chain through them.
 
     The pair draws do not depend on membership, so they are made a block at
-    a time and the block is tested at once.  The generator then goes back to
-    just after the first pair with members, draws k and the next block
-    starts there: every draw is the one a pair-by-pair loop would make.
+    a time, replayed from one array of 32-bit words (``_draw_rows``), and
+    the block is tested at once.  The generator then goes back to the
+    block's start, replays the draws up to the first pair with members,
+    draws k, and the next block starts there: every draw is the one a
+    pair-by-pair loop would make.
     """
     n = len(lifts)
     gram = _unit_gram(lifts)
-    bits = rng.bit_generator
     cochain = []
     budget = 20 * n_triples
     since = 0  # pairs drawn since the last hit
     while budget > 0 and len(cochain) < n_triples:
-        pairs = np.empty((min(_MINING_BLOCK, budget, _FIRST_BLOCK + since), 2), dtype=int)
-        states = []
-        for t in range(len(pairs)):
-            pairs[t] = rng.choice(n, size=2, replace=False)
-            states.append(bits.state)
+        size = min(_MINING_BLOCK, budget, _FIRST_BLOCK + since)
+        pairs, start = _draw_rows(rng, n, 2, size)
         distinct = np.flatnonzero(~_same_line(lifts[pairs[:, 0]], lifts[pairs[:, 1]]))
         members = _span_members(lifts, gram, pairs[distinct], tol)
         hit = next(((t, m) for t, m in zip(distinct, members) if len(m)), None)
         if hit is None:
-            budget -= len(pairs)
-            since += len(pairs)
+            budget -= size
+            since += size
             continue
         t, m = hit
-        bits.state = states[t]
+        rng.bit_generator.state = start
+        _draw_rows(rng, n, 2, t + 1)
         cochain.append((*pairs[t], m[rng.integers(len(m))]))
         budget -= t + 1
         since = 0
@@ -210,8 +258,7 @@ def chain_compatibility_check(sample_map, n_triples=300, seed=0, tol=1e-7):
     tol_q = max(tol, 1e-6)
     cochain = _mine_cochain(rng, src, n_triples, tol)
     # the generic triples are drawn after all the mining draws
-    draws = [rng.choice(len(src), size=3, replace=False) for _ in range(n_triples)]
-    triples = np.array(draws, dtype=int).reshape(-1, 3)
+    triples, _ = _draw_rows(rng, len(src), 3, n_triples)
 
     i, j, k = cochain.T
     on_image = ~_same_line(tgt[i], tgt[j]) & _on_chain(tgt, cochain, tol_q)

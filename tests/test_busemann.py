@@ -18,7 +18,7 @@ from chaingeo import (
     volume_entropy,
 )
 from chaingeo import verify
-from chaingeo.busemann import busemann_kappa
+from chaingeo.busemann import busemann_kappa, busemann_lifts, e_xi_lifts
 
 from conftest import random_boundary, random_interior, run_python
 
@@ -139,6 +139,31 @@ def test_visual_measure_samples_are_boundary(plane2):
     nu = VisualMeasure(plane2, seed=4)
     for p in nu.sample_points(20):
         assert p.is_boundary
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_sample_lifts_match_two_normal_draws(p):
+    """One standard_normal((2, n, p)) draw gives the lifts of the two
+    normal(size=(n, p)) calls, bit for bit."""
+    lifts = VisualMeasure(HermitianModel(p), seed=5).sample_lifts(1000)
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(1000, p)) + 1j * rng.normal(size=(1000, p))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    want = np.concatenate([u, np.ones((1000, 1), dtype=complex)], axis=1) / np.sqrt(2.0)
+    assert lifts.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_exi_lifts_match_basepoint_pairing(p):
+    """Reading <xi, O> off the last coordinate gives the weights of the
+    cocycle against the origin's lift, bit for bit, also on raw lifts."""
+    model = HermitianModel(p)
+    ent = volume_entropy(model)
+    x = random_interior(model, np.random.default_rng(p))
+    lifts = VisualMeasure(model, seed=p).sample_lifts(1000)
+    for xi in (lifts, lifts * 1e-3 * np.exp(0.9j)):
+        want = np.exp(-ent.value * busemann_lifts(model, xi, x.lift, model.basepoint().lift))
+        assert e_xi_lifts(model, ent, xi, x.lift).tobytes() == want.tobytes()
 
 
 def test_visual_measure_rotation_invariance_chisquare():

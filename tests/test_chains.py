@@ -16,7 +16,7 @@ from chaingeo import (
     sample_chain_point,
 )
 from chaingeo.busemann import VisualMeasure
-from chaingeo.chains import cartan_triple_lifts
+from chaingeo.chains import Chain, cartan_triple_lifts
 from chaingeo.isometries import apply_isometry, random_isometry
 
 from conftest import fit_circle, random_boundary
@@ -74,6 +74,25 @@ def test_cartan_invariant_free_of_lift_scale(p, seed, log_scales, phases):
     c = cartan_triple_lifts(*lifts)
     scales = 10.0 ** np.array(log_scales) * np.exp(1j * np.array(phases))
     assert abs(cartan_triple_lifts(*(lifts * scales[:, None])) - c) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 10_000),
+    st.floats(-6.0, 6.0),
+    st.lists(st.floats(0.0, 2 * np.pi), min_size=2, max_size=2),
+)
+def test_chain_free_of_span_scale(p, seed, log_scale, phases):
+    """A chain's span rescaled by 1e-6..1e6, with a phase per column, is
+    accepted and gives the same chain with the same orientation."""
+    model = HermitianModel(p)
+    a, b = VisualMeasure(model, seed=seed).sample_points(2)
+    C = chain_through(model, a, b)
+    scaled = Chain(C.span * 10.0**log_scale * np.exp(1j * np.array(phases)), +1, model)
+    pts = sample_chain_point(scaled, np.array([0.5, 2.0, 4.0]))
+    assert all(chain_contains(C, x) for x in pts)
+    assert abs(cartan_invariant(model, *pts) - 1.0) <= 1e-9
 
 
 def test_cartan_cocycle_identity(plane2, rng):

@@ -18,6 +18,8 @@ from chaingeo.chains import _in_span, cartan_triple_lifts
 from chaingeo.isometries import _form_residual
 from chaingeo.reconstruction import (
     CompatibilityReport,
+    _choice_rows,
+    _draw_rows,
     _isometry_project,
     _span_members,
     _unit_gram,
@@ -98,6 +100,57 @@ def test_compatibility_matches_pair_loop(name, n_triples, seed):
     smap = _ORACLE_MAPS[name]()
     rep = chain_compatibility_check(smap, n_triples=n_triples, seed=seed)
     assert rep == compatibility_loop(smap, n_triples=n_triples, seed=seed)
+
+
+def _choice_loop(rng, n, k, rows):
+    return np.array([rng.choice(n, size=k, replace=False) for _ in range(rows)]).reshape(rows, k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [20, 21, 152, 1000, 9999, 10_000])
+def test_choice_rows_replay_choice(k, n):
+    """The word replay gives the rows of a ``rng.choice`` loop and leaves the
+    generator in the same state; a numpy release that draws ``choice``
+    differently fails here."""
+    for seed in range(4):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = _choice_rows(a, n, k, 2000)
+        want = _choice_loop(b, n, k, 2000)
+        assert out is not None and out.dtype == want.dtype
+        assert np.array_equal(out, want)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_choice_rows_rejection_falls_back(k):
+    """At n = 3 * 2^30 a quarter of the words fall in Lemire's rejection
+    zone: the replay gives up, and ``_draw_rows`` draws the block with
+    ``rng.choice`` from the block's start state.  Replaying a prefix of the
+    block from that state, as mining does after a hit, also matches."""
+    n = 3 * 2**30
+    assert _choice_rows(np.random.default_rng(0), n, k, 64) is None
+    a, b = np.random.default_rng(0), np.random.default_rng(0)
+    out, start = _draw_rows(a, n, k, 64)
+    assert np.array_equal(out, _choice_loop(b, n, k, 64))
+    assert a.bit_generator.state == b.bit_generator.state
+    a.bit_generator.state = start
+    c = np.random.default_rng(0)
+    assert np.array_equal(_draw_rows(a, n, k, 40)[0], _choice_loop(c, n, k, 40))
+    assert a.bit_generator.state == c.bit_generator.state
+
+
+def test_compatibility_fallback_matches_pair_loop(monkeypatch):
+    """With every replay rejected, mining and the generic triples run on the
+    ``rng.choice`` fallback and still give the pair-by-pair loop's report."""
+
+    def reject(rng, n, k, rows):
+        rng.integers(0, 2**32, size=(rows, 2 * k - 1), dtype=np.uint32)
+        return None
+
+    smap = _ORACLE_MAPS["dense"]()
+    want = compatibility_loop(smap, n_triples=30, seed=7)
+    monkeypatch.setattr(reconstruction, "_choice_rows", reject)
+    assert chain_compatibility_check(smap, n_triples=30, seed=7) == want
 
 
 def test_span_members_match_in_span():
