@@ -17,6 +17,8 @@ grows toward xi and integrates to 1 against the visual measure.  Here h is
 the volume entropy of H_C^p, 2p/sqrt(metric_scale): geodesic spheres have
 one Jacobi direction of curvature -4/metric_scale and 2p-2 of curvature
 -1/metric_scale, so their area grows like exp(2p r/sqrt(metric_scale)).
+``e_xi_lifts`` is the one implementation of the weight: ``e_xi``, the
+measure checks below and the bounded forms all call it.
 
 The visual measure nu_0 at the origin is the round measure: uniform on the
 unit sphere of the positive coordinates in the canonical chart, which is
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import ProjPoint, _herm
+from .hermitian import ProjPoint, _herm, _pairings
 
 __all__ = [
     "VisualMeasure",
@@ -84,20 +86,6 @@ class VisualMeasure:
         ]
 
 
-def _pairings(xi_lifts, V):
-    """<xi_i, V> for every boundary lift xi_i (last axis), as one
-    matrix-vector product: <xi, V> = sum_k xi_k <e_k, V>.  It is the
-    conjugate of <V, xi_i>, so moduli and real parts of quotients need no
-    conjugated copy of the samples."""
-    return xi_lifts @ _herm(np.eye(V.shape[-1]), V)
-
-
-def _log_ratio(xi_lift, X, Y):
-    num = np.abs(_pairings(xi_lift, X)) ** 2 * _herm(Y, Y).real
-    den = np.abs(_pairings(xi_lift, Y)) ** 2 * _herm(X, X).real
-    return np.log(num / den)  # ratio of two negatives is positive
-
-
 def busemann_kappa(model):
     """Calibration constant of the closed-form Busemann cocycle.
 
@@ -117,27 +105,34 @@ def busemann(model, xi, x, y):
         raise ValueError("Busemann cocycle needs a boundary direction")
     if not (x.is_interior and y.is_interior):
         raise ValueError("Busemann cocycle compares interior points")
-    return busemann_kappa(model) * _log_ratio(xi.lift, x.lift, y.lift)
+    return busemann_lifts(model, xi.lift, x.lift, y.lift)
 
 
 def busemann_lifts(model, xi_lifts, X, Y):
     """Vectorized cocycle over an (n, p+1) array of boundary lifts."""
-    return busemann_kappa(model) * _log_ratio(xi_lifts, X, Y)
+    num = np.abs(_pairings(xi_lifts, X)) ** 2 * _herm(Y, Y).real
+    den = np.abs(_pairings(xi_lifts, Y)) ** 2 * _herm(X, X).real
+    return busemann_kappa(model) * np.log(num / den)  # ratio of two negatives is positive
 
 
 def e_xi(model, entropy, xi, x):
     """Boundary density weight exp(-h B_xi(x, 0)); equals 1 at the origin."""
-    zero = model.basepoint()
-    return float(np.exp(-entropy.value * busemann(model, xi, x, zero)))
+    if not (xi.is_boundary and x.is_interior):
+        raise ValueError("the weight is of an interior point toward a boundary point")
+    return float(e_xi_lifts(model, entropy, xi.lift, x.lift))
 
 
-def e_xi_lifts(model, entropy, xi_lifts, X):
+def e_xi_lifts(model, entropy, xi_lifts, X, xi_x=None):
     """Vectorized weight exp(-h B_xi(x, 0)) over an array of boundary lifts.
 
-    The origin's lift is e_{p+1}, so <xi, O> = -xi[..., -1] and <O, O> = -1:
-    the samples are not paired with the origin.
+    The origin's lift is e_{p+1}, so <xi, O> = -xi[..., -1] and
+    <O, O> = -1: the samples are not paired with the origin.  A caller that
+    needs the pairings <xi, X> itself passes them as ``xi_x``, so they are
+    computed once.
     """
-    num = -np.abs(_pairings(xi_lifts, X)) ** 2
+    if xi_x is None:
+        xi_x = _pairings(xi_lifts, X)
+    num = -np.abs(xi_x) ** 2
     den = np.abs(xi_lifts[..., -1]) ** 2 * _herm(X, X).real
     return np.exp(-entropy.value * (busemann_kappa(model) * np.log(num / den)))
 
@@ -173,7 +168,14 @@ def _test_family(model, lifts):
 
 def _batch_stats(values, n_batches=20):
     """Mean, batch-mean standard error and the batch means along the last
-    axis; a remainder of fewer than ``n_batches`` samples is dropped."""
+    axis; a remainder of fewer than ``n_batches`` samples is dropped.
+
+    The one place that reduces Monte-Carlo values to an estimate and its
+    error.  Fewer values than batches raise ``ValueError``: an empty batch
+    would make both NaN.
+    """
+    if values.shape[-1] < n_batches:
+        raise ValueError(f"{values.shape[-1]} samples cannot fill {n_batches} batches")
     n = values.shape[-1] - values.shape[-1] % n_batches
     b = values[..., :n].reshape(values.shape[:-1] + (n_batches, -1)).mean(axis=-1)
     mean = b.mean(axis=-1)
@@ -204,16 +206,15 @@ def measure_transform_check(model, g, n_samples=100_000, seed=0, entropy=None, h
     Monte-Carlo standard error.  With ``h_override`` the density exponent
     can be deliberately mistuned (negative-control use).
     """
+    if h_override is not None:
+        entropy = Entropy(value=h_override, p=model.p)
     entropy = entropy or volume_entropy(model)
-    h = h_override if h_override is not None else entropy.value
     nu = VisualMeasure(model, seed=seed)
     lifts = nu.sample_lifts(n_samples)
-    zero = model.basepoint()
-    g0_lift = g.matrix @ zero.lift
+    g0_lift = g.matrix @ model.basepoint().lift
     pushed = lifts @ g.matrix.T  # row-vector action on samples
     f_push = _test_family(model, pushed)
-    weights = np.exp(-h * busemann_lifts(model, lifts, g0_lift, zero.lift))
-    f_weighted = _test_family(model, lifts) * weights
+    f_weighted = _test_family(model, lifts) * e_xi_lifts(model, entropy, lifts, g0_lift)
     diff = f_push - f_weighted
     mean, stderr, _ = _batch_stats(diff)
     # identically-zero test functions (exact symmetries) leave only rounding

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermitianModel, ProjPoint, _herm, _triple_product
+from .hermitian import HermitianModel, ProjPoint, _gram, _herm, _triple_product
 
 __all__ = [
     "Chain",
@@ -84,13 +84,10 @@ class Chain:
         s = np.asarray(self.span, dtype=complex)
         if s.shape != (self.model.dim, 2) or np.linalg.matrix_rank(s) != 2:
             raise ValueError("span must be two independent vectors")
-        gram = np.array(
-            [[_herm(s[:, i], s[:, j]) for j in range(2)] for i in range(2)]
-        )
-        # the Gram matrix of the unit columns has the same signature and
-        # does not depend on the scale of the columns
-        norms = np.linalg.norm(s, axis=0)
-        ev = np.linalg.eigvalsh(gram / np.outer(norms, norms))
+        # the Gram matrix of the unit columns has the signature of the span
+        # and does not depend on the scale of the columns
+        unit = s / np.linalg.norm(s, axis=0)
+        ev = np.linalg.eigvalsh(_gram(unit, unit))
         if not (ev[0] < -1e-10 and ev[1] > 1e-10):
             raise ValueError("span is not of signature (1,1)")
         if self.orientation not in (+1, -1):
@@ -186,8 +183,7 @@ def k_plane_through(model, points):
     if rank != k + 1:
         raise ValueError("points are not in general position")
     basis = q[:, : k + 1]
-    gram = basis.conj().T @ np.diag(model.form_diagonal) @ basis
-    ev = np.linalg.eigvalsh(gram)
+    ev = np.linalg.eigvalsh(_gram(basis, basis))
     if not (ev[0] < -1e-10 and np.all(ev[1:] > 1e-10)):
         raise ValueError("span is degenerate or of wrong signature")
     return basis

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "bruhat_beta",
     "psi_kernel",
     "homotopy_h",
+    "homotopy_identity_holds",
     "transfer_tau",
     "random_rational_function",
     "h_invariant_function",
@@ -47,6 +48,29 @@ MAX_GROUP_ORDER = 10_000
 def _perm_mul(a, b):
     # (a * b)(x) = a(b(x))
     return tuple(a[b[i]] for i in range(len(a)))
+
+
+def _perm_group(perms):
+    """(perms, index, mul): the listed permutations, the index of each and
+    the multiplication table of the list."""
+    index = {p: i for i, p in enumerate(perms)}
+    mul = np.array([[index[_perm_mul(a, b)] for b in perms] for a in perms], dtype=int)
+    return perms, index, mul
+
+
+def _coset_table(mul, sub):
+    """Cosets {mul[g, s] : s in sub} of a subgroup: the least member of
+    each, and the index of each element's coset.  The table ``mul`` gives
+    the left cosets gS; its transpose gives the right cosets Sg."""
+    of = np.full(len(mul), -1, dtype=int)
+    reps = []
+    for g in range(len(mul)):
+        if of[g] >= 0:
+            continue
+        members = sorted(int(mul[g, s]) for s in sub)
+        reps.append(members[0])
+        of[members] = len(reps) - 1
+    return reps, of
 
 
 def _close_generators(gens, n):
@@ -95,8 +119,8 @@ class FiniteGroupModel:
         if not self.Q <= self.H:
             raise ValueError("Q must be contained in H")
         # left cosets of Q in G, indexed; representative = min element index
-        self.gq_cosets, self.gq_of = self._cosets(self.Q)
-        self.gh_cosets, self.gh_of = self._cosets(self.H)
+        self.gq_cosets, self.gq_of = _coset_table(self.mul, self.Q)
+        self.gh_cosets, self.gh_of = _coset_table(self.mul, self.H)
         # H/Q inside G/Q: cosets hQ for h in H
         hq = sorted({self.gq_of[h] for h in self.H})
         self.hq_cosets = hq
@@ -140,19 +164,6 @@ class FiniteGroupModel:
                 if int(self.mul[a, b]) not in sub:
                     raise ValueError(f"{label} is not closed")
 
-    def _cosets(self, sub):
-        of = np.full(self.n, -1, dtype=int)
-        reps = []
-        for g in range(self.n):
-            if of[g] >= 0:
-                continue
-            members = sorted(int(self.mul[g, s]) for s in sub)
-            idx = len(reps)
-            reps.append(members[0])
-            for m in members:
-                of[m] = idx
-        return reps, of
-
     # --- actions ---------------------------------------------------------
 
     def act_gq(self, g, coset):
@@ -164,43 +175,18 @@ class FiniteGroupModel:
         c = self.act_gq(h, self.hq_cosets[j])
         return self.hq_index[c]
 
-    def left_cosets_of(self, sub):
-        of = np.full(self.n, -1, dtype=int)
-        reps = []
-        for g in range(self.n):
-            if of[g] >= 0:
-                continue
-            members = sorted(int(self.mul[s, g]) for s in sub)  # right coset Lg
-            idx = len(reps)
-            reps.append(members[0])
-            for m in members:
-                of[m] = idx
-        return reps, of
-
-
-def _symmetric_group(n):
-    import itertools
-
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    mul = np.empty((len(perms), len(perms)), dtype=int)
-    for i, a in enumerate(perms):
-        for j, b in enumerate(perms):
-            mul[i, j] = index[_perm_mul(a, b)]
-    return perms, index, mul
-
 
 def preset_model(name):
     """Named models: 'S3' (H = <(12)>, Q = 1), 'S4' (H = Stab(3) ~ S3,
     Q = <(01)>), 'D4' (H = rotations, Q = <r^2>)."""
     if name == "S3":
-        perms, index, mul = _symmetric_group(3)
+        perms, index, mul = _perm_group(list(permutations(range(3))))
         swap = index[(1, 0, 2)]
         H = {index[(0, 1, 2)], swap}
         Q = {index[(0, 1, 2)]}
         return FiniteGroupModel(perms, mul, H, Q, name="S3")
     if name == "S4":
-        perms, index, mul = _symmetric_group(4)
+        perms, index, mul = _perm_group(list(permutations(range(4))))
         H = {i for i, p in enumerate(perms) if p[3] == 3}
         Q = {index[(0, 1, 2, 3)], index[(1, 0, 2, 3)]}
         return FiniteGroupModel(perms, mul, H, Q, name="S4")
@@ -209,12 +195,7 @@ def preset_model(name):
         r = (1, 2, 3, 0)
         s = (3, 2, 1, 0)
         ident = (0, 1, 2, 3)
-        elements = _close_generators([r, s], 4)
-        index = {p: i for i, p in enumerate(elements)}
-        mul = np.empty((8, 8), dtype=int)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                mul[i, j] = index[_perm_mul(a, b)]
+        elements, index, mul = _perm_group(_close_generators([r, s], 4))
         r2 = _perm_mul(r, r)
         H = {index[ident], index[r], index[r2], index[_perm_mul(r2, r)]}
         Q = {index[ident], index[r2]}
@@ -433,6 +414,16 @@ def homotopy_h(model, psi, wq, f, n):
     return out
 
 
+def homotopy_identity_holds(model, psi, wq, n, rng):
+    """Whether h_n d_n f + d_{n-1} h_{n-1} f = f holds exactly for one
+    random rational f on G x (H/Q)^n, drawn from ``rng``."""
+    k = len(model.hq_cosets)
+    f = random_rational_function((model.n,) + (k,) * n, rng)
+    lhs = homotopy_h(model, psi, wq, differential_group_picture(model, f, n), n)
+    lhs = lhs + differential_group_picture(model, homotopy_h(model, psi, wq, f, n - 1), n - 1)
+    return bool(np.all(lhs == f))
+
+
 def transfer_tau(space, L, f):
     """Average an L-invariant fibered function over L\\G; a left inverse of
     the inclusion of G-invariants that commutes with the differential.
@@ -450,7 +441,7 @@ def transfer_tau(space, L, f):
             )
             if f[moved] != f[tup]:
                 raise ValueError("function is not L-invariant")
-    reps, of = model.left_cosets_of(L)
+    reps, _ = _coset_table(model.mul.T, L)  # the right cosets Lg
     count = Fraction(1, len(reps))
     out = {}
     for tup in space.tuples:

@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .busemann import VisualMeasure, _batch_stats, _pairings, e_xi_lifts
+from .busemann import VisualMeasure, _batch_stats, e_xi_lifts
 from .chains import cartan_triple_lifts, chain_through, sample_chain_point
-from .hermitian import _herm, exp_map, tangent
+from .hermitian import _herm, _pairings, exp_map, tangent
 
 __all__ = [
     "BoundaryCocycle",
@@ -151,8 +151,12 @@ class _SampleStream:
         # toward xi, and s Re<v, U_xi> = sqrt(s) Re(-<xi, v>/<xi, X> - <v, X>)
         des = []
         for xi in self.lifts[1:]:
-            weight = h * np.sqrt(s) * e_xi_lifts(model, self.entropy, xi, X)
-            minus_inv = -1.0 / _pairings(xi, X)
+            # one pairing of the samples with x gives the weight and the
+            # direction field
+            xi_x = _pairings(xi, X)
+            weight = h * np.sqrt(s) * e_xi_lifts(model, self.entropy, xi, X, xi_x=xi_x)
+            minus_inv = -1.0 / xi_x
+            del xi_x
             de_on = []
             for v in vectors:
                 V = v.components
@@ -327,7 +331,7 @@ def exterior_derivative_fd(field_eval, model, x, u, v, w, step=1e-3):
     value = float(sum(terms))
     if term_batches:
         tot = np.sum(term_batches, axis=0)
-        stderr = float(tot.std(ddof=1) / np.sqrt(len(tot)))
+        stderr = float(_batch_stats(tot, len(tot))[1])
     else:
         stderr = 0.0
     # the check loses meaning once the Monte-Carlo noise cannot resolve the

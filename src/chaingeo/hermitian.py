@@ -22,6 +22,10 @@ signed Kahler area of a geodesic triangle, with interior or ideal
 vertices, is the phase of the Hermitian triple product of its vertex
 lifts.  The test suite checks this closed form against an independent
 quadrature of the form over a cone filling.
+
+Only this module writes the form; other modules pair vectors through
+``inner`` or ``_herm`` (last axis), ``_pairings`` (sample arrays) and
+``_gram`` (the Gram matrix A* J B of two sets of columns).
 """
 
 from __future__ import annotations
@@ -74,13 +78,8 @@ class HermitianModel:
 
     @property
     def form_diagonal(self):
-        d = np.ones(self.dim)
-        d[-1] = -1.0
-        return d
-
-    @property
-    def form_matrix(self):
-        return np.diag(self.form_diagonal).astype(complex)
+        """The signs (1, .., 1, -1) of the form in the standard basis."""
+        return _form_diagonal(self.dim)
 
     def basepoint(self):
         """The origin: the negative line through e_{p+1}."""
@@ -101,14 +100,34 @@ def inner(model, X, Y):
             f"expected vectors of dimension {model.dim}, "
             f"got {X.shape[-1]} and {Y.shape[-1]}"
         )
-    s = np.sum(X[..., :-1] * np.conj(Y[..., :-1]), axis=-1)
-    return s - X[..., -1] * np.conj(Y[..., -1])
+    return _herm(X, Y)
+
+
+def _form_diagonal(dim):
+    d = np.ones(dim)
+    d[-1] = -1.0
+    return d
 
 
 def _herm(X, Y):
-    # form without the dimension check, for hot paths
+    """<X, Y> along the last axis, without the dimension check of ``inner``."""
     s = np.sum(X[..., :-1] * np.conj(Y[..., :-1]), axis=-1)
     return s - X[..., -1] * np.conj(Y[..., -1])
+
+
+def _pairings(xi_lifts, V):
+    """<xi_i, V> for every lift xi_i (rows of ``xi_lifts``), as one matrix
+    product: <xi, V> = sum_k xi_k <e_k, V>.  ``V`` is one vector, giving
+    shape (n,), or a stack (m, p+1), giving (n, m).  It is the conjugate
+    of <V, xi_i>, so moduli and real parts of quotients need no conjugated
+    copy of the samples."""
+    return xi_lifts @ _herm(np.eye(V.shape[-1]), V[..., None, :]).T
+
+
+def _gram(A, B):
+    """Gram matrix A* J B of the form on the columns of A and B; for two
+    vectors, the pairing <B, A>."""
+    return A.conj().T @ (_form_diagonal(len(B)) * B.T).T
 
 
 class ProjPoint:
@@ -223,11 +242,20 @@ def distance(model, x, y):
     return model.metric_scale ** 0.5 * np.arccosh(np.sqrt(delta))
 
 
-def _aligned_pair(X, Y):
-    """Phase-align Y against canonical interior X so <Y', X> is real < 0."""
-    c = _herm(Y, X)
+def _direction(X, target):
+    """Direction D of the geodesic from the canonical lift X toward target,
+    at scale-4 arclength t: e^{-t/2} X + sinh(t/2) D with D the null lift
+    of a boundary target, <X, D> = -1, or cosh(t/2) X + sinh(t/2) D with
+    D the unit vector, <D, X> = 0, toward an interior one."""
+    T = target.lift
+    if target.is_boundary:
+        return np.conj(-1.0 / _herm(X, T)) * T
+    c = _herm(T, X)
     r = abs(c)
-    return -(r / c) * Y, r
+    if r - 1.0 < 1e-14:
+        raise ValueError("undefined direction: coincident points")
+    # T phase-aligned so that its pairing with X is -r
+    return (-(r / c) * T - r * X) / np.sqrt(r * r - 1.0)
 
 
 def unit_tangent_toward(model, x, target):
@@ -236,17 +264,9 @@ def unit_tangent_toward(model, x, target):
     ``target`` may be interior or boundary; the returned TangentVector has
     g-norm 1.
     """
-    X = x.lift
-    T = target.lift
-    if target.is_boundary:
-        w = np.conj(-1.0 / _herm(X, T))
-        Ts = w * T  # <X, Ts> = -1
-        v = 0.5 * (Ts - X)  # derivative of e^{-t/2} X + sinh(t/2) Ts at t=0
-    else:
-        Tt, r = _aligned_pair(X, T)
-        if r - 1.0 < 1e-14:
-            raise ValueError("undefined direction: coincident points")
-        v = 0.5 * (Tt - r * X) / np.sqrt(r * r - 1.0)
+    D = _direction(x.lift, target)
+    # the derivative at t = 0 of the curve of _direction
+    v = 0.5 * (D - x.lift) if target.is_boundary else 0.5 * D
     n2 = _herm(v, v).real  # g-norm^2 is metric_scale * n2
     return TangentVector(x, v / np.sqrt(model.metric_scale * n2))
 
@@ -261,18 +281,11 @@ def geodesic(model, x, target, t):
         raise ValueError("geodesic origin must be interior")
     X = x.lift
     tau = t / model.metric_scale ** 0.5 * 2.0  # scale-4 arclength
-    if target.is_boundary:
-        T = target.lift
-        w = np.conj(-1.0 / _herm(X, T))
-        Ts = w * T
-        v = np.exp(-tau / 2.0) * X + np.sinh(tau / 2.0) * Ts
-    else:
-        Tt, r = _aligned_pair(X, target.lift)
-        if r - 1.0 < 1e-14:
-            raise ValueError("undefined direction: coincident points")
-        U = (Tt - r * X) / np.sqrt(r * r - 1.0)
-        v = np.cosh(tau / 2.0) * X + np.sinh(tau / 2.0) * U
-    return ProjPoint(v, model=model, kind="interior")
+    D = _direction(X, target)
+    # e^{-t/2}, not cosh(t/2) - sinh(t/2), keeps the ray toward a boundary
+    # point accurate at large t
+    a = np.exp(-tau / 2.0) if target.is_boundary else np.cosh(tau / 2.0)
+    return ProjPoint(a * X + np.sinh(tau / 2.0) * D, model=model, kind="interior")
 
 
 def exp_map(model, x, v):

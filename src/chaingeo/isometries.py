@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .hermitian import HermitianModel, ProjPoint, TangentVector
+from .hermitian import HermitianModel, ProjPoint, TangentVector, _gram, _herm
 
 __all__ = [
     "Isometry",
@@ -66,19 +66,17 @@ class Isometry:
 
 
 def _pulled_back_form(W, p, q):
-    """(S, lam): the Gram matrix S = W* Jq W of the target form on the source,
-    and its scale lam = tr(Jp S)/(p+1).  W is a form isometry of scale lam
-    exactly when S = lam Jp."""
-    Jp = HermitianModel(p).form_diagonal
-    Jq = HermitianModel(q).form_diagonal
-    S = W.conj().T @ (Jq[:, None] * W)
-    return S, float(np.real(np.trace(np.diag(Jp) @ S)) / (p + 1))
+    """(M, lam): M = Jp S, where S = W* Jq W is the Gram matrix of the
+    target form on the source, and its scale lam = tr(M)/(p+1).  W is a
+    form isometry of scale lam exactly when M = lam I."""
+    M = HermitianModel(p).form_diagonal[:, None] * _gram(W, W)
+    return M, float(np.trace(M).real / (p + 1))
 
 
 def _form_residual(W, lam, p, q):
-    """Frobenius norm of W* Jq W - lam Jp."""
-    S, _ = _pulled_back_form(W, p, q)
-    return float(np.linalg.norm(S - lam * HermitianModel(p).form_matrix))
+    """Frobenius norm of W* Jq W - lam Jp, which is that of Jp S - lam I."""
+    M, _ = _pulled_back_form(W, p, q)
+    return float(np.linalg.norm(M - lam * np.eye(p + 1)))
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,6 @@ class EmbeddingMap:
             raise ValueError("dimension mismatch")
         q, p = self.target_q, self.source_p
         W = self.matrix / np.sqrt(self.scale)
-        Jq = HermitianModel(q).form_matrix
         # columns of W are J-orthonormal with signs (+..+, -); complete them
         # to a basis by J-Gram-Schmidt over the standard basis
         basis = list(zip(W.T, HermitianModel(p).form_diagonal))
@@ -125,8 +122,8 @@ class EmbeddingMap:
             v = np.zeros(q + 1, dtype=complex)
             v[k] = 1.0
             for u, sgn in basis:
-                v = v - ((u.conj() @ Jq @ v) / sgn) * u
-            nv = (v.conj() @ Jq @ v).real
+                v = v - (_gram(u, v) / sgn) * u
+            nv = _gram(v, v).real
             if abs(nv) > 1e-8:
                 basis.append((v / np.sqrt(abs(nv)), np.sign(nv)))
         B = np.column_stack([u for u, _ in basis])
@@ -179,10 +176,7 @@ def classify(g):
     vals, vecs = np.linalg.eig(m)
     mods = np.abs(vals)
     spread = mods.max() / mods.min()
-    J = HermitianModel(g.source_p).form_diagonal
-    qs = np.array(
-        [float(np.sum(J * np.abs(vecs[:, k]) ** 2)) for k in range(vecs.shape[1])]
-    )
+    qs = _herm(vecs.T, vecs.T).real  # the form on each eigenvector
     # projective separation of the extreme-modulus eigenvectors
     v_hi = vecs[:, int(np.argmax(mods))]
     v_lo = vecs[:, int(np.argmin(mods))]
@@ -218,8 +212,8 @@ def random_isometry(p, seed, sigma=1.0):
     rng = np.random.default_rng(seed)
     n = p + 1
     A = rng.normal(size=(n, n), scale=sigma) + 1j * rng.normal(size=(n, n), scale=sigma)
-    J = HermitianModel(p).form_matrix
-    A = 0.5 * (A - J @ A.conj().T @ J)
+    J = HermitianModel(p).form_diagonal
+    A = 0.5 * (A - J[:, None] * A.conj().T * J)  # minus the form adjoint J A* J
     return Isometry(expm(A), p)
 
 

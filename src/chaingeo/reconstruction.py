@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import sqrtm
 
 from .chains import _in_span, cartan_triple_lifts
-from .hermitian import HermitianModel, _same_line
+from .hermitian import _same_line
 from .isometries import EmbeddingMap, _form_residual, _pulled_back_form
 
 __all__ = [
@@ -328,11 +328,10 @@ def _isometry_project(W, p, q):
     Mackey, Mackey and Tisseur, SIAM J. Matrix Anal. Appl. 2005).  Jp S is
     Jp-selfadjoint, so the factor makes the pulled-back form exactly lam Jp;
     an exact isometry is left unchanged.  Returns (W, lam)."""
-    S, lam = _pulled_back_form(W, p, q)
+    JS, lam = _pulled_back_form(W, p, q)
     if not lam > 0:
         raise NoRigidModelError("fit collapsed onto a non-positive form scale")
-    M = HermitianModel(p).form_diagonal[:, None] * S / lam
-    return W @ np.linalg.inv(sqrtm(M)), lam
+    return W @ np.linalg.inv(sqrtm(JS / lam)), lam
 
 
 @dataclass

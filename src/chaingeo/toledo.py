@@ -30,17 +30,6 @@ __all__ = [
 RELATOR_TOL = 1e-8
 
 
-def _relator_residual(generators, genus):
-    n = generators[0].matrix.shape[0]
-    m = np.eye(n, dtype=complex)
-    for i in range(genus):
-        a = generators[2 * i].matrix
-        b = generators[2 * i + 1].matrix
-        m = m @ a @ b @ np.linalg.inv(a) @ np.linalg.inv(b)
-    lam = np.trace(m) / n
-    return np.linalg.norm(m - lam * np.eye(n)) / max(1.0, abs(lam) * np.sqrt(n))
-
-
 @dataclass
 class SurfaceGroupRep:
     """Representation of a genus-g surface group by generator images.
@@ -57,7 +46,12 @@ class SurfaceGroupRep:
             raise ValueError("closed hyperbolic surfaces need genus >= 2")
         if len(self.generators) != 2 * self.genus:
             raise ValueError(f"expected {2 * self.genus} generator images")
-        res = _relator_residual(self.generators, self.genus)
+        # the relator prod [a_i, b_i] is the last word prefix; it must be
+        # a scalar matrix
+        m = self.word_prefixes()[-1]
+        n = len(m)
+        lam = np.trace(m) / n
+        res = np.linalg.norm(m - lam * np.eye(n)) / max(1.0, abs(lam) * np.sqrt(n))
         if res > RELATOR_TOL:
             raise ValueError(f"surface relator violated: residual {res:.2e}")
         self.relator_residual = res

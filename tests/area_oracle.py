@@ -15,7 +15,7 @@ apex over an ideal-ideal side); callers try the cyclic rotations.
 
 import numpy as np
 
-from chaingeo.hermitian import _aligned_pair, _herm
+from chaingeo.hermitian import _herm
 from chaingeo.quadrature import integrate_unit_square
 
 
@@ -38,9 +38,9 @@ def _side_curve(Y, ykind, Z, zkind):
     (interior ends) in t so that derivatives are exact.
     """
     if ykind == "interior" and zkind == "interior":
-        Zt, r = _aligned_pair(Y, Z)
-        n = np.sqrt(r * r - 1.0)
-        U = (Zt - r * Y) / n
+        c = _herm(Z, Y)
+        r = abs(c)
+        U = (-(r / c) * Z - r * Y) / np.sqrt(r * r - 1.0)  # <U, Y> = 0, <U, U> = 1
         D = np.arccosh(r)
 
         def S(t):

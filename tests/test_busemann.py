@@ -156,14 +156,20 @@ def test_sample_lifts_match_two_normal_draws(p):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_exi_lifts_match_basepoint_pairing(p):
     """Reading <xi, O> off the last coordinate gives the weights of the
-    cocycle against the origin's lift, bit for bit, also on raw lifts."""
+    cocycle against the origin's lift, bit for bit, also on raw lifts and
+    through the one-point ``e_xi``."""
     model = HermitianModel(p)
     ent = volume_entropy(model)
     x = random_interior(model, np.random.default_rng(p))
-    lifts = VisualMeasure(model, seed=p).sample_lifts(1000)
+    origin = model.basepoint()
+    nu = VisualMeasure(model, seed=p)
+    lifts = nu.sample_lifts(1000)
     for xi in (lifts, lifts * 1e-3 * np.exp(0.9j)):
-        want = np.exp(-ent.value * busemann_lifts(model, xi, x.lift, model.basepoint().lift))
+        want = np.exp(-ent.value * busemann_lifts(model, xi, x.lift, origin.lift))
         assert e_xi_lifts(model, ent, xi, x.lift).tobytes() == want.tobytes()
+    for xi in nu.sample_points(200):
+        want = float(np.exp(-ent.value * busemann(model, xi, x, origin)))
+        assert e_xi(model, ent, xi, x) == want
 
 
 def test_visual_measure_rotation_invariance_chisquare():

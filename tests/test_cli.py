@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from chaingeo.cli import main
 from chaingeo.serialization import (
@@ -101,6 +102,38 @@ def test_cli_chain_rejects_json_list(tmp_path, capsys, plane2, rng):
     path = tmp_path / "points.json"
     path.write_text(json.dumps([point_to_json(p) for p in pts]))
     code = main(["chain", "--p", "2", "--points", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+# (argv, builder of the --points file from four boundary points, or None)
+BAD_INPUTS = {
+    "chain-one-point": (["chain", "--p", "2"], lambda pts: {"points": pts[:1]}),
+    "cartan-points-not-list": (["cartan", "--p", "2"], lambda pts: {"points": pts[0]}),
+    "cartan-index-too-large": (
+        ["cartan", "--p", "2"],
+        lambda pts: {"points": pts, "triples": [[0, 1, 7]]},
+    ),
+    "cartan-index-negative": (
+        ["cartan", "--p", "2"],
+        lambda pts: {"points": pts, "triples": [[0, 1, -1]]},
+    ),
+    "finite-model-zero-denominator": (["finite-model", "--weights", "1/0,1"], None),
+    "delta-form-10-samples": (["delta-form", "--samples", "10"], None),
+    "delta-form-0-samples": (["delta-form", "--samples", "0"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_cli_bad_input_is_an_error(case, tmp_path, capsys, plane2, rng):
+    argv, build = BAD_INPUTS[case]
+    if build is not None:
+        pts = [point_to_json(p) for p in random_boundary(plane2, rng, n=4)]
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(build(pts)))
+        argv = argv + ["--points", str(path)]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == "" and captured.err.startswith("error:")

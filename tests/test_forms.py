@@ -140,10 +140,23 @@ def test_closedness_of_pullback_form(setup, rng):
 
     c = BoundaryCocycle(3, ev, 1.0, alternating=True)
     field = delta_form_field(model, ent, c, n_samples=200_000, seed=11)
+    evaluations = []
+
+    def recording(*args):
+        fe = field(*args)
+        evaluations.append(fe.batch_means)
+        return fe
+
     x = random_interior(model, rng, spread=0.5)
     u, v, w = (random_tangent(model, rng, x) for _ in range(3))
-    val, sig, step = exterior_derivative_fd(field, model, x, u, v, w, step=1e-3)
+    val, sig, step = exterior_derivative_fd(recording, model, x, u, v, w, step=1e-3)
     assert abs(val) < 4 * sig + 100 * step**2
+    # the stderr is that of the batch-wise differences of the stencil
+    tot = sum(
+        sign * (evaluations[2 * k] - evaluations[2 * k + 1]) / (2 * step)
+        for k, sign in enumerate((1.0, -1.0, 1.0))
+    )
+    assert_allclose(sig, tot.std(ddof=1) / np.sqrt(len(tot)), rtol=1e-12)
 
 
 def test_delta_commutes_with_d(setup, rng):
@@ -254,6 +267,16 @@ def test_fd_step_warning(setup, rng):
     u, v, w = (random_tangent(model, rng, x) for _ in range(3))
     with pytest.warns(RuntimeWarning):
         exterior_derivative_fd(field, model, x, u, v, w, step=1e-5)
+
+
+@pytest.mark.parametrize("n_samples", [0, 10])
+def test_too_few_samples_for_the_batches_raise(setup, rng, n_samples):
+    # each of the 20 batch means needs a sample; empty batches gave NaN
+    model, ent = setup
+    x = random_interior(model, rng)
+    c = _sine_cocycle(rng, 3)
+    with pytest.raises(ValueError, match="batches"):
+        delta_form_eval(model, ent, c, x, [random_tangent(model, rng, x)] * 2, n_samples=n_samples)
 
 
 def test_cocycle_rejects_bound_violation(setup, rng):

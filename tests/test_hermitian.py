@@ -17,6 +17,7 @@ from chaingeo import (
     triangle_area,
     unit_tangent_toward,
 )
+from chaingeo.hermitian import _gram, _herm, _pairings
 from chaingeo.isometries import apply_isometry, random_isometry
 
 from conftest import random_boundary, random_interior, random_tangent
@@ -54,6 +55,13 @@ def test_inner_hermitian_symmetry(seed):
     a = inner(model, x, y)
     b = inner(model, y, x)
     assert abs(a - np.conj(b)) <= 1e-14 * max(1.0, abs(a))
+    # the Gram matrix A* J B, and the pairings of a stack of rows with a
+    # stack of vectors, hold the pairings <B_j, A_i> of the columns
+    A = r.normal(size=(3, 2)) + 1j * r.normal(size=(3, 2))
+    B = r.normal(size=(3, 4)) + 1j * r.normal(size=(3, 4))
+    loop = [[_herm(B[:, j], A[:, i]) for j in range(4)] for i in range(2)]
+    for gram in (_gram(A, B), _pairings(B.T, A.T).T):
+        assert_allclose(gram, loop, rtol=0, atol=1e-14 * np.abs(A).max() * np.abs(B).max())
 
 
 def test_projpoint_classification(disc):
