@@ -208,6 +208,10 @@ def _cmd_reconstruct(args):
     data = _load_json(args.samples)
     p, q = int(data["p"]), int(data["q"])
     mp, mq = HermitianModel(p), HermitianModel(q)
+    if not isinstance(data["pairs"], list) or not all(
+        isinstance(ab, list) and len(ab) == 2 for ab in data["pairs"]
+    ):
+        raise ValueError(f"{args.samples}: 'pairs' must list [source, target] point pairs")
     pairs = [
         (ser.json_to_point(a, mp), ser.json_to_point(b, mq)) for a, b in data["pairs"]
     ]

@@ -4,15 +4,12 @@ A boundary map that carries chains to chains with matching orientation and
 generic triples to generic triples is, at desk scale, the boundary trace
 of an isometric holomorphic embedding.
 
-The compatibility gate mines co-chain triples from the samples.  Random
-source pairs are drawn a block at a time; a Gram table of the unit source
-lifts rules out in one pass the samples far from each pair's chain, and
-the span test decides the rest.  The generator is rewound to the first
-pair with members, so the report is the one a pair-by-pair loop gives
-from the same seed.  Each block of ``rng.choice(n, size=k, replace=False)``
-draws is replayed from one array of 32-bit words (Floyd's sampling over
-Lemire's bounded integers, as numpy draws them); a block that hits
-Lemire's rejection zone is drawn again by ``rng.choice`` itself.
+The compatibility gate mines co-chain triples from the samples.  All
+random source pairs are drawn at once and tested in draw order, a block at
+a time: a Gram table of the unit source lifts rules out in one pass the
+samples far from each pair's chain, and the span test decides the rest.
+The block size does not change the report, which is the one a
+pair-by-pair loop gives from the same draws.
 
 The fit proceeds in three stages: a projective direct linear solve (each
 sample constrains W xi to the line of its target), an alternation of
@@ -100,10 +97,8 @@ class CompatibilityReport:
         )
 
 
-# pairs drawn per block of the co-chain mining loop: blocks grow from
-# _FIRST_BLOCK after each hit, since a hit discards the rest of its block,
-# up to _MINING_BLOCK (a block's Gram rows then stay in cache)
-_FIRST_BLOCK = 8
+# pairs tested per block of the co-chain mining loop (a block's Gram rows
+# then stay in cache); the mined triples do not depend on it
 _MINING_BLOCK = 64
 # a pair of unit lifts with 1 - |<a, b>|^2 below this sends every lift to
 # _in_span: the Gram residual divides by that quantity and loses accuracy
@@ -152,85 +147,32 @@ def _span_members(lifts, gram, pairs, tol):
     return members
 
 
-def _choice_rows(rng, n, k, rows):
-    """``rows`` draws of ``rng.choice(n, size=k, replace=False)`` from one
-    array of 32-bit words, or None.
-
-    numpy draws Floyd's sample (Bentley and Floyd, CACM 1987) and then
-    shuffles it, each step one Lemire-bounded word (Lemire, ACM TOMACS
-    2019): pick (w * (j + 1)) >> 32 for j = n-k..n-1, taking j when the
-    pick is already taken, then swap places i and (w * (i + 1)) >> 32 for
-    i = k-1..1.  Replaying 2k - 1 words per row gives the same rows and
-    leaves the generator where the ``choice`` calls would.  A word in the
-    rejection zone, (w * r) mod 2^32 < 2^32 mod r, would make numpy draw
-    again; the result is then None, with the generator moved on.
-    """
-    if not k < n < 2**32:
-        return None
-    words = rng.integers(0, 2**32, size=(rows, 2 * k - 1), dtype=np.uint32)
-    bounds = [*range(n - k + 1, n + 1), *range(k, 1, -1)]
-    m = words.astype(np.uint64) * np.array(bounds, dtype=np.uint64)
-    zone = np.array([2**32 % r for r in bounds], dtype=np.uint64)
-    if (m & np.uint64(2**32 - 1) < zone).any():
-        return None
-    pick = (m >> np.uint64(32)).astype(np.int64)
-    out = pick[:, :k].copy()
-    for c in range(1, k):
-        out[(out[:, :c] == pick[:, c:c + 1]).any(axis=1), c] = n - k + c
-    at = np.arange(rows)
-    for c, i in enumerate(range(k - 1, 0, -1), start=k):
-        j = pick[:, c]
-        swap = out[at, j]
-        out[at, j] = out[:, i]
-        out[:, i] = swap
-    return out
-
-
-def _draw_rows(rng, n, k, rows):
-    """The rows of ``_choice_rows``, drawn by ``rng.choice`` row by row when
-    it rejects, and the generator state before them."""
-    start = rng.bit_generator.state
-    out = _choice_rows(rng, n, k, rows)
-    if out is None:
-        rng.bit_generator.state = start
-        draws = [rng.choice(n, size=k, replace=False) for _ in range(rows)]
-        out = np.array(draws, dtype=np.int64).reshape(rows, k)
-    return out, start
-
-
 def _mine_cochain(rng, lifts, n_triples, tol):
     """Up to ``n_triples`` co-chain triples (i, j, k) within 20 * n_triples
     pair draws: i, j a random pair of distinct points and k a random other
     sample on the chain through them.
 
-    The pair draws do not depend on membership, so they are made a block at
-    a time, replayed from one array of 32-bit words (``_draw_rows``), and
-    the block is tested at once.  The generator then goes back to the
-    block's start, replays the draws up to the first pair with members,
-    draws k, and the next block starts there: every draw is the one a
-    pair-by-pair loop would make.
+    All pairs are drawn in one call and tested in draw order, a block at a
+    time; a pair whose two indices name one point has no chain.  The first
+    ``n_triples`` pairs with members are kept, and one more call picks each
+    k among its pair's members.
     """
     n = len(lifts)
     gram = _unit_gram(lifts)
-    cochain = []
-    budget = 20 * n_triples
-    since = 0  # pairs drawn since the last hit
-    while budget > 0 and len(cochain) < n_triples:
-        size = min(_MINING_BLOCK, budget, _FIRST_BLOCK + since)
-        pairs, start = _draw_rows(rng, n, 2, size)
-        distinct = np.flatnonzero(~_same_line(lifts[pairs[:, 0]], lifts[pairs[:, 1]]))
-        members = _span_members(lifts, gram, pairs[distinct], tol)
-        hit = next(((t, m) for t, m in zip(distinct, members) if len(m)), None)
-        if hit is None:
-            budget -= size
-            since += size
-            continue
-        t, m = hit
-        rng.bit_generator.state = start
-        _draw_rows(rng, n, 2, t + 1)
-        cochain.append((*pairs[t], m[rng.integers(len(m))]))
-        budget -= t + 1
-        since = 0
+    pairs = rng.integers(0, n, size=(20 * n_triples, 2))
+    hits, members = [], []
+    for start in range(0, len(pairs), _MINING_BLOCK):
+        block = pairs[start:start + _MINING_BLOCK]
+        distinct = np.flatnonzero(~_same_line(lifts[block[:, 0]], lifts[block[:, 1]]))
+        for t, m in zip(distinct, _span_members(lifts, gram, block[distinct], tol)):
+            if len(m):
+                hits.append(start + t)
+                members.append(m)
+        if len(hits) >= n_triples:
+            break
+    members = members[:n_triples]
+    k = rng.integers(np.array([len(m) for m in members], dtype=int))
+    cochain = [(*pairs[h], m[c]) for h, m, c in zip(hits, members, k)]
     return np.array(cochain, dtype=int).reshape(-1, 3)
 
 
@@ -257,8 +199,9 @@ def chain_compatibility_check(sample_map, n_triples=300, seed=0, tol=1e-7):
     tgt = sample_map.target_lifts
     tol_q = max(tol, 1e-6)
     cochain = _mine_cochain(rng, src, n_triples, tol)
-    # the generic triples are drawn after all the mining draws
-    triples, _ = _draw_rows(rng, len(src), 3, n_triples)
+    # the generic triples are drawn after all the mining draws; a triple
+    # that repeats an index is not generic
+    triples = rng.integers(0, len(src), size=(n_triples, 3))
 
     i, j, k = cochain.T
     on_image = ~_same_line(tgt[i], tgt[j]) & _on_chain(tgt, cochain, tol_q)

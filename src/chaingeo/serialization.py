@@ -13,7 +13,7 @@ import numpy as np
 
 from .hermitian import HermitianModel, ProjPoint
 from .isometries import Isometry
-from .toledo import SurfaceGroupRep
+from .toledo import RELATOR_TOL, SurfaceGroupRep, _scalar_residual
 
 __all__ = [
     "complex_to_json",
@@ -56,6 +56,8 @@ def point_to_json(pt):
 
 
 def json_to_point(data, model):
+    if not isinstance(data, dict):
+        raise ValueError(f"a point must be a JSON object, got {type(data).__name__}")
     return ProjPoint(json_to_vector(data["lift"]), model=model, kind=data.get("kind"))
 
 
@@ -76,9 +78,7 @@ def rep_from_json(data):
     """
     gens = [Isometry(json_to_matrix(m), 1) for m in data["generators"]]
     for word in data.get("relators", []):
-        m = word_to_matrix(word, [g.matrix for g in gens])
-        lam = np.trace(m) / m.shape[0]
-        if np.linalg.norm(m - lam * np.eye(m.shape[0])) > 1e-8 * max(1.0, abs(lam)):
+        if not _scalar_residual(word_to_matrix(word, [g.matrix for g in gens])) <= RELATOR_TOL:
             raise ValueError(f"relator word {word!r} does not close")
     return SurfaceGroupRep(genus=int(data["genus"]), generators=gens)
 
@@ -94,25 +94,6 @@ def word_to_matrix(word, generator_matrices):
         g = generator_matrices[abs(k) - 1]
         m = m @ (np.linalg.inv(g) if k < 0 else g)
     return m
-
-
-def boundary_map_from_json(data):
-    """Sample-table boundary map {'p', 'q', 'pairs': [[lift, lift]..]} with
-    nearest-neighbor completion."""
-    from .forms import BoundaryMapHandle
-
-    p, q = int(data["p"]), int(data["q"])
-    src = np.stack([json_to_vector(a) for a, _ in data["pairs"]])
-    tgt = np.stack([json_to_vector(b) for _, b in data["pairs"]])
-    return BoundaryMapHandle.from_samples(src, tgt, p, q)
-
-
-def load_sample_table_csv(path):
-    """CSV sample table (z_re, z_im, w_re, w_im) -> list of (z, w)."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    if rows.shape[1] != 4:
-        raise ValueError("sample table needs 4 columns: z_re, z_im, w_re, w_im")
-    return [(complex(a, b), complex(c, d)) for a, b, c, d in rows]
 
 
 def chain_to_json(chain):

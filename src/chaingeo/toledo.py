@@ -30,6 +30,14 @@ __all__ = [
 RELATOR_TOL = 1e-8
 
 
+def _scalar_residual(m):
+    """Distance of the square matrix m from the scalar matrices, relative
+    to the scalar lam I nearest to it: ||m - lam I|| / max(1, ||lam I||)."""
+    n = len(m)
+    lam = np.trace(m) / n
+    return np.linalg.norm(m - lam * np.eye(n)) / max(1.0, abs(lam) * np.sqrt(n))
+
+
 @dataclass
 class SurfaceGroupRep:
     """Representation of a genus-g surface group by generator images.
@@ -48,11 +56,8 @@ class SurfaceGroupRep:
             raise ValueError(f"expected {2 * self.genus} generator images")
         # the relator prod [a_i, b_i] is the last word prefix; it must be
         # a scalar matrix
-        m = self.word_prefixes()[-1]
-        n = len(m)
-        lam = np.trace(m) / n
-        res = np.linalg.norm(m - lam * np.eye(n)) / max(1.0, abs(lam) * np.sqrt(n))
-        if res > RELATOR_TOL:
+        res = _scalar_residual(self.word_prefixes()[-1])
+        if not res <= RELATOR_TOL:
             raise ValueError(f"surface relator violated: residual {res:.2e}")
         self.relator_residual = res
 

@@ -2,11 +2,10 @@
 
 Each mined pair is tested against every sample with one ``_in_span`` call,
 and each image and generic triple builds its ``Chain``.  The random draws
-are made in the order ``reconstruction.chain_compatibility_check`` must
-replay, so the two give equal reports.  The only change from the loop the
-library used to run is the rule for a collapsed map: a generic triple
-whose image pair is one point counts as a non-generic image, where the
-loop raised from ``chain_through``.
+are the three calls of ``reconstruction.chain_compatibility_check``, in
+its order: every mining pair, then one k per kept pair, then the generic
+triples.  So the two give equal reports.  A generic triple whose image
+pair is one point counts as a non-generic image.
 """
 
 import numpy as np
@@ -24,18 +23,18 @@ def compatibility_loop(sample_map, n_triples=300, seed=0, tol=1e-7):
     ys = [eta for _, eta in sample_map.pairs]
     n = len(xs)
     src = sample_map.source_lifts
-    cochain = []
-    for _ in range(n_triples * 20):
-        i, j = rng.choice(n, size=2, replace=False)
+    mined = []
+    for i, j in rng.integers(0, n, size=(n_triples * 20, 2)):
         if xs[i].same_point_as(xs[j]):
             continue
         members = np.where(_in_span(src[[i, j]].T, src, tol))[0]
         members = [k for k in members if k not in (i, j)]
         if members:
-            k = members[int(rng.integers(len(members)))]
-            cochain.append((i, j, k))
-        if len(cochain) >= n_triples:
+            mined.append((i, j, members))
+        if len(mined) >= n_triples:
             break
+    picks = rng.integers(np.array([len(m) for _, _, m in mined], dtype=int))
+    cochain = [(i, j, m[c]) for (i, j, m), c in zip(mined, picks)]
     img_cochain = 0
     orient_match = 0
     for i, j, k in cochain:
@@ -54,8 +53,7 @@ def compatibility_loop(sample_map, n_triples=300, seed=0, tol=1e-7):
                 orient_match += 1
     generic = 0
     img_generic = 0
-    for _ in range(n_triples):
-        i, j, k = rng.choice(n, size=3, replace=False)
+    for i, j, k in rng.integers(0, n, size=(n_triples, 3)):
         if xs[i].same_point_as(xs[j]) or xs[j].same_point_as(xs[k]):
             continue
         C = chain_through(model_p, xs[i], xs[j])

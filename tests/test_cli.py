@@ -107,17 +107,33 @@ def test_cli_chain_rejects_json_list(tmp_path, capsys, plane2, rng):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
-# (argv, builder of the --points file from four boundary points, or None)
+# (argv ending in the input-file flag, builder of that file's object from
+# four boundary points; or argv alone and None)
 BAD_INPUTS = {
-    "chain-one-point": (["chain", "--p", "2"], lambda pts: {"points": pts[:1]}),
-    "cartan-points-not-list": (["cartan", "--p", "2"], lambda pts: {"points": pts[0]}),
+    "chain-one-point": (["chain", "--p", "2", "--points"], lambda pts: {"points": pts[:1]}),
+    "cartan-points-not-list": (
+        ["cartan", "--p", "2", "--points"],
+        lambda pts: {"points": pts[0]},
+    ),
+    "cartan-point-not-object": (
+        ["cartan", "--p", "2", "--points"],
+        lambda pts: {"points": [1, 2, 3]},
+    ),
     "cartan-index-too-large": (
-        ["cartan", "--p", "2"],
+        ["cartan", "--p", "2", "--points"],
         lambda pts: {"points": pts, "triples": [[0, 1, 7]]},
     ),
     "cartan-index-negative": (
-        ["cartan", "--p", "2"],
+        ["cartan", "--p", "2", "--points"],
         lambda pts: {"points": pts, "triples": [[0, 1, -1]]},
+    ),
+    "reconstruct-pair-of-numbers": (
+        ["reconstruct", "--samples"],
+        lambda pts: {"p": 2, "q": 2, "pairs": [[1, 2]]},
+    ),
+    "reconstruct-pair-not-list": (
+        ["reconstruct", "--samples"],
+        lambda pts: {"p": 2, "q": 2, "pairs": [pts[:2], 5]},
     ),
     "finite-model-zero-denominator": (["finite-model", "--weights", "1/0,1"], None),
     "delta-form-10-samples": (["delta-form", "--samples", "10"], None),
@@ -130,9 +146,9 @@ def test_cli_bad_input_is_an_error(case, tmp_path, capsys, plane2, rng):
     argv, build = BAD_INPUTS[case]
     if build is not None:
         pts = [point_to_json(p) for p in random_boundary(plane2, rng, n=4)]
-        path = tmp_path / "points.json"
+        path = tmp_path / "input.json"
         path.write_text(json.dumps(build(pts)))
-        argv = argv + ["--points", str(path)]
+        argv = argv + [str(path)]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1

@@ -18,8 +18,6 @@ from chaingeo.chains import _in_span, cartan_triple_lifts
 from chaingeo.isometries import _form_residual
 from chaingeo.reconstruction import (
     CompatibilityReport,
-    _choice_rows,
-    _draw_rows,
     _isometry_project,
     _span_members,
     _unit_gram,
@@ -54,10 +52,10 @@ def test_compatibility_report_pinned():
     and ``chain_contains`` shows here."""
     smap = _planted_sample_map(np.random.default_rng(3), 2, 2, 152)[0]
     assert chain_compatibility_check(smap, seed=1) == CompatibilityReport(
-        cochain_triples=18,
+        cochain_triples=21,
         image_cochain_fraction=1.0,
         orientation_match_fraction=1.0,
-        generic_triples=300,
+        generic_triples=298,
         image_generic_fraction=1.0,
         note="",
     )
@@ -85,7 +83,7 @@ _ORACLE_MAPS = {
         _planted_sample_map(np.random.default_rng(9), 2, 2, 152)[0], every=2
     ),
     # three chains of 20 points: about one pair in five has members, so
-    # blocks end early and mining stops on the count, not the budget
+    # mining stops on the count, inside a block, not on the budget
     "dense": lambda: _planted_sample_map(
         np.random.default_rng(10), 2, 2, 20, n_chain_groups=3, pts_per_chain=20
     )[0],
@@ -95,62 +93,25 @@ _ORACLE_MAPS = {
 @pytest.mark.parametrize("name", list(_ORACLE_MAPS))
 @pytest.mark.parametrize("n_triples, seed", [(300, 1), (30, 0), (30, 7)])
 def test_compatibility_matches_pair_loop(name, n_triples, seed):
-    """The blocked check replays the pair-by-pair loop's draws and decisions;
+    """The blocked check makes the pair-by-pair loop's draws and decisions;
     with 30 triples the budget of 600 pairs runs out inside a block."""
     smap = _ORACLE_MAPS[name]()
     rep = chain_compatibility_check(smap, n_triples=n_triples, seed=seed)
     assert rep == compatibility_loop(smap, n_triples=n_triples, seed=seed)
 
 
-def _choice_loop(rng, n, k, rows):
-    return np.array([rng.choice(n, size=k, replace=False) for _ in range(rows)]).reshape(rows, k)
-
-
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("n", [20, 21, 152, 1000, 9999, 10_000])
-def test_choice_rows_replay_choice(k, n):
-    """The word replay gives the rows of a ``rng.choice`` loop and leaves the
-    generator in the same state; a numpy release that draws ``choice``
-    differently fails here."""
-    for seed in range(4):
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        out = _choice_rows(a, n, k, 2000)
-        want = _choice_loop(b, n, k, 2000)
-        assert out is not None and out.dtype == want.dtype
-        assert np.array_equal(out, want)
-        assert a.bit_generator.state == b.bit_generator.state
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_choice_rows_rejection_falls_back(k):
-    """At n = 3 * 2^30 a quarter of the words fall in Lemire's rejection
-    zone: the replay gives up, and ``_draw_rows`` draws the block with
-    ``rng.choice`` from the block's start state.  Replaying a prefix of the
-    block from that state, as mining does after a hit, also matches."""
-    n = 3 * 2**30
-    assert _choice_rows(np.random.default_rng(0), n, k, 64) is None
-    a, b = np.random.default_rng(0), np.random.default_rng(0)
-    out, start = _draw_rows(a, n, k, 64)
-    assert np.array_equal(out, _choice_loop(b, n, k, 64))
-    assert a.bit_generator.state == b.bit_generator.state
-    a.bit_generator.state = start
-    c = np.random.default_rng(0)
-    assert np.array_equal(_draw_rows(a, n, k, 40)[0], _choice_loop(c, n, k, 40))
-    assert a.bit_generator.state == c.bit_generator.state
-
-
-def test_compatibility_fallback_matches_pair_loop(monkeypatch):
-    """With every replay rejected, mining and the generic triples run on the
-    ``rng.choice`` fallback and still give the pair-by-pair loop's report."""
-
-    def reject(rng, n, k, rows):
-        rng.integers(0, 2**32, size=(rows, 2 * k - 1), dtype=np.uint32)
-        return None
-
-    smap = _ORACLE_MAPS["dense"]()
-    want = compatibility_loop(smap, n_triples=30, seed=7)
-    monkeypatch.setattr(reconstruction, "_choice_rows", reject)
-    assert chain_compatibility_check(smap, n_triples=30, seed=7) == want
+@pytest.mark.parametrize("name", ["dense", "planted22"])
+def test_mining_block_size_leaves_report(name, monkeypatch):
+    """The mining block size is a performance constant: a block of one
+    pair, a block that a hit ends midway, and one block for the whole
+    budget all give the report of the default block."""
+    smap = _ORACLE_MAPS[name]()
+    for n_triples, seed in ((300, 1), (30, 7)):
+        want = chain_compatibility_check(smap, n_triples=n_triples, seed=seed)
+        for block in (1, 7, 10_000):
+            monkeypatch.setattr(reconstruction, "_MINING_BLOCK", block)
+            assert chain_compatibility_check(smap, n_triples=n_triples, seed=seed) == want
+        monkeypatch.undo()
 
 
 def test_span_members_match_in_span():

@@ -6,13 +6,10 @@ import pytest
 from chaingeo import HermitianModel, fuchsian_genus2_rep
 from chaingeo.cli import main
 from chaingeo.serialization import (
-    boundary_map_from_json,
     json_to_model,
-    load_sample_table_csv,
     matrix_to_json,
     model_to_json,
     rep_from_json,
-    vector_to_json,
     word_to_matrix,
 )
 
@@ -64,30 +61,6 @@ def test_word_to_matrix_inverses():
     assert np.linalg.norm(m - np.eye(2)) < 1e-12
     with pytest.raises(ValueError):
         word_to_matrix("5", mats)
-
-
-def test_boundary_map_from_json(plane2, rng):
-    from chaingeo import standard_embedding
-
-    emb = standard_embedding(2, 3)
-    src = [random_boundary(plane2, rng).lift for _ in range(25)]
-    pairs = [[vector_to_json(s), vector_to_json(emb.matrix @ s)] for s in src]
-    phi = boundary_map_from_json({"p": 2, "q": 3, "pairs": pairs})
-    out = phi(np.stack(src[:5]))
-    expect = np.stack(src[:5]) @ emb.matrix.T
-    assert np.allclose(out, expect)
-    assert not phi.equivariant
-
-
-def test_load_sample_table_csv(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_text("0.0,0.0,1.0,2.0\n1.0,-1.0,3.5,0.25\n")
-    table = load_sample_table_csv(path)
-    assert table == [(0j, 1 + 2j), (1 - 1j, 3.5 + 0.25j)]
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1.0,2.0\n")
-    with pytest.raises(ValueError):
-        load_sample_table_csv(bad)
 
 
 def test_cli_csv_format(tmp_path, capsys, plane2, rng):
