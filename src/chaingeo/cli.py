@@ -35,7 +35,7 @@ from .toledo import fuchsian_genus2_rep, milnor_wood_check, toledo_surface_group
 from .verify import ALL_CRITERIA
 from . import finitemodels as fm
 
-__all__ = ["main"]
+__all__ = ["main", "verify_payload"]
 
 
 def _default_seed(args):
@@ -297,6 +297,31 @@ def _cmd_finite_model(args):
     return 0 if ok_h and ok_count else 2
 
 
+def _plain(v):
+    if isinstance(v, np.bool_):
+        return bool(v)
+    if isinstance(v, np.floating):
+        return float(v)
+    if isinstance(v, np.integer):
+        return int(v)
+    return v
+
+
+def verify_payload(results, seed):
+    """The ``chaingeo verify`` payload of criterion results keyed by
+    criterion: each result's scalar fields as plain Python values."""
+    scalars = (int, float, str, bool, np.floating, np.bool_, np.integer)
+    return {
+        "command": "verify",
+        "seed": seed,
+        "passed": all(bool(res["passed"]) for res in results.values()),
+        "results": {
+            k: {kk: _plain(vv) for kk, vv in res.items() if isinstance(vv, scalars)}
+            for k, res in results.items()
+        },
+    }
+
+
 def _cmd_verify(args):
     seed = _default_seed(args)
     if args.suite == "all":
@@ -306,29 +331,13 @@ def _cmd_verify(args):
         unknown = [k for k in keys if k not in ALL_CRITERIA]
         if unknown:
             raise SystemExit(f"unknown criteria: {unknown}")
-    def plain(v):
-        if isinstance(v, np.bool_):
-            return bool(v)
-        if isinstance(v, np.floating):
-            return float(v)
-        if isinstance(v, np.integer):
-            return int(v)
-        return v
-
     results = {}
-    all_ok = True
     for k in keys:
-        res = ALL_CRITERIA[k]()
-        results[k] = {
-            kk: plain(vv)
-            for kk, vv in res.items()
-            if isinstance(vv, (int, float, str, bool, np.floating, np.bool_, np.integer))
-        }
-        all_ok = all_ok and bool(res["passed"])
+        results[k] = res = ALL_CRITERIA[k]()
         sys.stderr.write(f"[{'PASS' if res['passed'] else 'FAIL'}] {res['name']}\n")
-    payload = {"command": "verify", "seed": seed, "passed": all_ok, "results": results}
+    payload = verify_payload(results, seed)
     _emit(payload, args.out)
-    return 0 if all_ok else 2
+    return 0 if payload["passed"] else 2
 
 
 def build_parser():

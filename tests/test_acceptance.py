@@ -2,10 +2,19 @@
 
 Each test runs one named verification suite and prints a PASS/FAIL line
 with the headline numbers, so a bare ``pytest -s tests/test_acceptance.py``
-doubles as the verification report.
+doubles as the verification report.  The same run is rendered as
+``chaingeo verify --suite <key>`` prints it (seed 0) and compared byte for
+byte with ``golden/verify-<key>.json``; ``tests/test_golden.py``
+regenerates those files.
 """
 
+from pathlib import Path
+
+from chaingeo.cli import verify_payload
+from chaingeo.serialization import dumps
 from chaingeo.verify import ALL_CRITERIA
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _run(key):
@@ -17,6 +26,8 @@ def _run(key):
         if k not in ("name", "passed") and isinstance(v, (int, float, str, bool))
     }
     print(f"[{status}] {result['name']}: {detail}")
+    text = dumps(verify_payload({key: result}, seed=0))
+    assert text == (GOLDEN / f"verify-{key}.json").read_text(), text
     return result
 
 

@@ -1,7 +1,9 @@
 """Seeded CLI outputs compared byte for byte with committed golden files.
 
 Each case runs one ``chaingeo`` command in process, with CHAINGEO_SEED
-unset, and compares its stdout with ``golden/<name>.json``.  The input
+unset, and compares its stdout with ``golden/<name>.json``.  The
+``verify-<key>.json`` files are compared by ``tests/test_acceptance.py``,
+which runs each criterion once; this module only writes them.  The input
 files under ``golden/inputs`` are fixed data: the points of ``cartan`` and
 ``chain`` are visual-measure samples (seed 1), and each ``reconstruct``
 input is ``verify._planted_sample_map(np.random.default_rng(1), 2, q, 152)``
@@ -18,23 +20,10 @@ from pathlib import Path
 import pytest
 
 from chaingeo.cli import main
+from chaingeo.verify import ALL_CRITERIA
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
-
-# the verify criteria that take under 2 s each
-FAST_CRITERIA = (
-    "cartan-cocycle",
-    "chain-extremality",
-    "ideal-triangle",
-    "area-cartan",
-    "busemann",
-    "toledo",
-    "chain-formula",
-    "quadrilateral",
-    "affine-recovery",
-    "fibered-counting",
-)
 
 # (golden file stem, argv, exit code)
 CASES = [
@@ -55,7 +44,11 @@ CASES = [
         ("conjugated_2_2", 0),
         ("scrambled_2_2", 2),
     )
-] + [(f"verify-{key}", ["verify", "--suite", key], 0) for key in FAST_CRITERIA]
+]
+
+# ``verify-<key>.json`` for every criterion: ``tests/test_acceptance.py``
+# compares these with the criteria it runs, so they are only written here
+VERIFY_CASES = [(f"verify-{key}", ["verify", "--suite", key], 0) for key in ALL_CRITERIA]
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
@@ -71,7 +64,7 @@ if __name__ == "__main__":
     import os
 
     os.environ.pop("CHAINGEO_SEED", None)
-    for name, argv, code in CASES:
+    for name, argv, code in CASES + VERIFY_CASES:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             got = main(argv)
