@@ -297,29 +297,20 @@ def _cmd_finite_model(args):
     return 0 if ok_h and ok_count else 2
 
 
-def _plain(v):
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    return v
-
-
 def verify_payload(results, seed):
     """The ``chaingeo verify`` payload of criterion results keyed by
     criterion: each result's scalar fields as plain Python values."""
-    scalars = (int, float, str, bool, np.floating, np.bool_, np.integer)
-    return {
-        "command": "verify",
-        "seed": seed,
-        "passed": all(bool(res["passed"]) for res in results.values()),
-        "results": {
-            k: {kk: _plain(vv) for kk, vv in res.items() if isinstance(vv, scalars)}
-            for k, res in results.items()
-        },
+    scalars = (int, float, str, np.floating, np.bool_, np.integer)
+    plain = {
+        k: {
+            kk: v.item() if isinstance(v, np.generic) else v
+            for kk, v in res.items()
+            if isinstance(v, scalars)
+        }
+        for k, res in results.items()
     }
+    passed = all(bool(res["passed"]) for res in results.values())
+    return {"command": "verify", "seed": seed, "passed": passed, "results": plain}
 
 
 def _cmd_verify(args):

@@ -213,18 +213,17 @@ def delta_form_field(model, entropy, c, n_samples=200_000, seed=0):
 class BoundaryMapHandle:
     """Measurable boundary map phi: dH^p -> dH^q usable in pullbacks.
 
-    Either closed-form (an embedding matrix, optionally post-composed with
-    a target isometry and/or complex conjugation) or a finite sample table
-    completed by nearest neighbor.  Only closed-form equivariant handles
+    A function of stacked lifts.  ``from_embedding`` builds the closed-form
+    equivariant ones (an embedding matrix, optionally post-composed with a
+    target isometry and/or complex conjugation); only equivariant handles
     are accepted by the chain-formula check.
     """
 
-    def __init__(self, fn, source_p, target_q, equivariant=False, antiholomorphic=False):
+    def __init__(self, fn, source_p, target_q, equivariant=False):
         self._fn = fn
         self.source_p = source_p
         self.target_q = target_q
         self.equivariant = equivariant
-        self.antiholomorphic = antiholomorphic
 
     def __call__(self, lifts):
         return self._fn(np.asarray(lifts, dtype=complex))
@@ -238,28 +237,7 @@ class BoundaryMapHandle:
             out = lifts @ M.T
             return np.conj(out) if conjugate else out
 
-        return cls(
-            fn,
-            emb.source_p,
-            emb.target_q,
-            equivariant=True,
-            antiholomorphic=conjugate,
-        )
-
-    @classmethod
-    def from_samples(cls, source_lifts, target_lifts, source_p, target_q):
-        src = np.asarray(source_lifts, dtype=complex)
-        tgt = np.asarray(target_lifts, dtype=complex)
-        src_n = src / np.linalg.norm(src, axis=1, keepdims=True)
-
-        def fn(lifts):
-            q = lifts / np.linalg.norm(lifts, axis=1, keepdims=True)
-            # projective chordal affinity: |<q, src>| (Euclidean)
-            aff = np.abs(q @ src_n.conj().T)
-            idx = np.argmax(aff, axis=1)
-            return tgt[idx]
-
-        return cls(fn, source_p, target_q, equivariant=False)
+        return cls(fn, emb.source_p, emb.target_q, equivariant=True)
 
 
 def pullback_kappa_form(

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .hermitian import HermitianModel, ProjPoint, TangentVector, _gram, _herm
 
@@ -71,6 +70,12 @@ def _pulled_back_form(W, p, q):
     form isometry of scale lam exactly when M = lam I."""
     M = HermitianModel(p).form_diagonal[:, None] * _gram(W, W)
     return M, float(np.trace(M).real / (p + 1))
+
+
+def _eig_function(M, f):
+    """f(M) = V diag(f(mu)) V^-1 for a diagonalizable M = V diag(mu) V^-1."""
+    mu, V = np.linalg.eig(M)
+    return (V * f(mu)) @ np.linalg.inv(V)
 
 
 def _form_residual(W, lam, p, q):
@@ -207,14 +212,17 @@ def random_isometry(p, seed, sigma=1.0):
     """Reproducible random element: exp of a Gaussian element of u(p,1).
 
     The Lie algebra is {A : A* J + J A = 0}; a Gaussian matrix is projected
-    onto it and exponentiated.  Deterministic per seed.
+    onto it and exponentiated through its eigendecomposition,
+    exp(A) = V diag(e^mu) V^-1.  A Gaussian A has distinct eigenvalues with
+    probability 1, and at sigma = 0 it is the zero matrix, so this is the
+    matrix exponential.  Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
     n = p + 1
     A = rng.normal(size=(n, n), scale=sigma) + 1j * rng.normal(size=(n, n), scale=sigma)
     J = HermitianModel(p).form_diagonal
     A = 0.5 * (A - J[:, None] * A.conj().T * J)  # minus the form adjoint J A* J
-    return Isometry(expm(A), p)
+    return Isometry(_eig_function(A, np.exp), p)
 
 
 def rotation_about_origin(p, thetas):

@@ -15,7 +15,8 @@ The fit proceeds in three stages: a projective direct linear solve (each
 sample constrains W xi to the line of its target), an alternation of
 per-sample phase alignment with linear least squares, and a projection
 onto the exact form isometries <Wv, Ww>_q = lambda <v, w>_p by the J-polar
-factor of the generalized polar decomposition.  Samples are trimmed once
+factor of the generalized polar decomposition, an inverse square root
+taken through an eigendecomposition.  Samples are trimmed once
 when gross outliers are present, so a small corrupted fraction does not
 spoil the model; the per-sample residual report identifies the outliers.
 """
@@ -25,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .chains import _in_span, cartan_triple_lifts
 from .hermitian import _same_line
-from .isometries import EmbeddingMap, _form_residual, _pulled_back_form
+from .isometries import EmbeddingMap, _eig_function, _form_residual, _pulled_back_form
 
 __all__ = [
     "BoundarySampleMap",
@@ -270,11 +270,20 @@ def _isometry_project(W, p, q):
     lam = tr(Jp S)/(p+1) (the generalized polar decomposition of Higham,
     Mackey, Mackey and Tisseur, SIAM J. Matrix Anal. Appl. 2005).  Jp S is
     Jp-selfadjoint, so the factor makes the pulled-back form exactly lam Jp;
-    an exact isometry is left unchanged.  Returns (W, lam)."""
+    an exact isometry is left unchanged.  The inverse square root is
+    V diag(mu^(-1/2)) V^-1 from Jp S / lam = V diag(mu) V^-1, the principal
+    one when every Re mu > 0; any other fit (a non-positive scale, a
+    rank-deficient fit, NaNs) raises NoRigidModelError.  Returns (W, lam)."""
     JS, lam = _pulled_back_form(W, p, q)
     if not lam > 0:
         raise NoRigidModelError("fit collapsed onto a non-positive form scale")
-    return W @ np.linalg.inv(sqrtm(JS / lam)), lam
+    return W @ _eig_function(JS / lam, _inverse_sqrt), lam
+
+
+def _inverse_sqrt(mu):
+    if not (mu.real > 0).all():
+        raise NoRigidModelError("the fit's pulled-back form has no principal inverse square root")
+    return mu**-0.5
 
 
 @dataclass

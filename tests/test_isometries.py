@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from chaingeo import (
     EmbeddingMap,
@@ -132,6 +133,21 @@ def test_standard_embedding_preserves_distance(plane2, rng):
         d1 = distance(plane2, x, y)
         d2 = distance(m3, emb.push_point(x, m3), emb.push_point(y, m3))
         assert abs(d1 - d2) < 1e-9
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.4, 1.0, 1.2])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_random_isometry_is_expm_of_its_draw(p, sigma):
+    # scipy's Pade expm is the independent oracle for the eigendecomposition
+    J = np.diag([1.0] * p + [-1.0])
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        n = p + 1
+        A = rng.normal(size=(n, n), scale=sigma) + 1j * rng.normal(size=(n, n), scale=sigma)
+        A = 0.5 * (A - J @ A.conj().T @ J)
+        E = expm(A)
+        g = random_isometry(p, seed=seed, sigma=sigma)
+        assert np.linalg.norm(g.matrix - E) <= 1e-13 * np.linalg.norm(E)
 
 
 def test_random_isometry_deterministic():

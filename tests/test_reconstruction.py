@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import sqrtm
 
 from chaingeo import (
     BoundarySampleMap,
@@ -269,13 +270,21 @@ def test_fit_rejects_nonfinite_projection(rng, monkeypatch):
 
 
 # swapping the negative basis vector with a positive one pulls the form back
-# with scale -1/3
+# with scale -1/3; the rank-deficient fits have a positive scale but a zero
+# eigenvalue of Jp S / lam, so no inverse square root
 @pytest.mark.parametrize(
-    "W", [np.eye(3)[::-1], np.full((3, 3), np.nan)], ids=["negative", "nan"]
+    "W,q",
+    [
+        (np.eye(3)[::-1], 2),
+        (np.full((3, 3), np.nan), 2),
+        (np.diag([0.0, 1.0, 1.0]), 2),
+        (np.outer(np.eye(4)[0], np.eye(3)[0]), 3),
+    ],
+    ids=["negative", "nan", "rank-2", "rank-1"],
 )
-def test_projection_rejects_nonpositive_scale(W):
+def test_projection_rejects_nonpositive_scale(W, q):
     with pytest.raises(NoRigidModelError):
-        _isometry_project(W, 2, 2)
+        _isometry_project(W, 2, q)
 
 
 def _planted_isometry(p, q, seed):
@@ -304,6 +313,24 @@ def test_projection_lands_on_isometries_and_is_idempotent(dims, seed, noise):
     W2, lam2 = _isometry_project(W, p, q)
     assert np.linalg.norm(W2 - W) <= 1e-12 * np.linalg.norm(W)
     assert abs(lam2 - lam) <= 1e-12 * lam
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-8, 1e-4, 1e-2])
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 5) for q in range(p, 5)])
+def test_projection_matches_sqrtm(p, q, noise):
+    # scipy's Schur-based sqrtm is the independent oracle for the
+    # eigendecomposition: the J-polar factor is W (Jp S / lam)^(-1/2)
+    Jp = np.diag([1.0] * p + [-1.0])
+    Jq = np.diag([1.0] * q + [-1.0])
+    for seed in range(20):
+        W0, N = _planted_isometry(p, q, seed)
+        W = W0 + noise * np.linalg.norm(W0) * N
+        JS = Jp @ W.conj().T @ Jq @ W
+        lam = np.trace(JS).real / (p + 1)
+        ref = W @ np.linalg.inv(sqrtm(JS / lam))
+        got, got_lam = _isometry_project(W, p, q)
+        assert abs(got_lam - lam) <= 1e-13 * lam
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @settings(max_examples=200, deadline=None)
