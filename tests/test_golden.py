@@ -2,8 +2,9 @@
 
 Each case runs one ``chaingeo`` command in process, with CHAINGEO_SEED
 unset, and compares its stdout with ``golden/<name>.json``.  The
-``verify-<key>.json`` files are compared by ``tests/test_acceptance.py``,
-which runs each criterion once; this module only writes them.  The input
+``verify-<key>.json`` file of every criterion is also compared by
+``tests/test_acceptance.py``; the ten criteria that take under 2 s each
+are checked here as well, through the CLI.  The input
 files under ``golden/inputs`` are fixed data: the points of ``cartan`` and
 ``chain`` are visual-measure samples (seed 1), and each ``reconstruct``
 input is ``verify._planted_sample_map(np.random.default_rng(1), 2, q, 152)``
@@ -25,6 +26,20 @@ from chaingeo.verify import ALL_CRITERIA
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
+# the verify criteria that take under 2 s each
+FAST_CRITERIA = (
+    "cartan-cocycle",
+    "chain-extremality",
+    "ideal-triangle",
+    "area-cartan",
+    "busemann",
+    "toledo",
+    "chain-formula",
+    "quadrilateral",
+    "affine-recovery",
+    "fibered-counting",
+)
+
 # (golden file stem, argv, exit code)
 CASES = [
     ("cartan", ["cartan", "--p", "2", "--points", str(INPUTS / "cartan_points.json")], 0),
@@ -44,11 +59,14 @@ CASES = [
         ("conjugated_2_2", 0),
         ("scrambled_2_2", 2),
     )
-]
+] + [(f"verify-{key}", ["verify", "--suite", key], 0) for key in FAST_CRITERIA]
 
-# ``verify-<key>.json`` for every criterion: ``tests/test_acceptance.py``
-# compares these with the criteria it runs, so they are only written here
-VERIFY_CASES = [(f"verify-{key}", ["verify", "--suite", key], 0) for key in ALL_CRITERIA]
+# the slower criteria, whose files only ``tests/test_acceptance.py`` compares
+VERIFY_CASES = [
+    (f"verify-{key}", ["verify", "--suite", key], 0)
+    for key in ALL_CRITERIA
+    if key not in FAST_CRITERIA
+]
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
