@@ -111,7 +111,7 @@ def _form_diagonal(dim):
 
 def _herm(X, Y):
     """<X, Y> along the last axis, without the dimension check of ``inner``."""
-    s = np.sum(X[..., :-1] * np.conj(Y[..., :-1]), axis=-1)
+    s = np.add.reduce(X[..., :-1] * np.conj(Y[..., :-1]), axis=-1)
     return s - X[..., -1] * np.conj(Y[..., -1])
 
 
@@ -145,8 +145,8 @@ class ProjPoint:
         if v.shape != (model.dim,):
             raise ValueError(f"lift must have shape ({model.dim},)")
         nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            raise ValueError("lift must be nonzero")
+        if not 0.0 < nrm < np.inf:
+            raise ValueError("lift must be nonzero and finite")
         v /= nrm
         q = _herm(v, v).real  # |q| <= 1 after Euclidean normalization
         if kind is None:
@@ -359,27 +359,27 @@ def triangle_area(model, x, y, z, tol=1e-6):
     for any lifts (Goldman, Complex Hyperbolic Geometry, 7.1; Toledo 1989).
     It is alternating in the arguments and bounded by pi in absolute value
     for metric_scale = 4.  Degenerate triples (two projectively equal
-    points) return 0 with the ``degenerate`` flag set.
+    points) return 0 with the ``degenerate`` flag set.  Each pair of
+    vertices is paired once, and ``err_estimate`` reuses those pairings.
 
     ``tol`` is the accuracy the caller needs: a ``ValueError`` is raised
-    when the rounding bound ``err_estimate`` exceeds it, as happens when two
-    ideal vertices nearly coincide and their pairing loses its phase.
+    when the rounding bound ``err_estimate`` exceeds it or is NaN, as when
+    two ideal vertices nearly coincide and their pairing loses its phase.
     """
     for a, b in ((x, y), (y, z), (z, x)):
         if a.kind == b.kind and a.same_point_as(b):
             return TriangleArea(0.0, 0.0, degenerate=True)
     X, Y, Z = x.lift, y.lift, z.lift
+    hxy, hyz, hzx = _herm(X, Y), _herm(Y, Z), _herm(Z, X)
+    nx, ny, nz = np.linalg.norm(X), np.linalg.norm(Y), np.linalg.norm(Z)
     half = model.metric_scale / 2.0
-    value = half * float(np.angle(-_triple_product(X, Y, Z)))
+    value = half * float(np.angle(-(hxy * hyz * hzx)))
     # a pairing <A,B> is summed with absolute rounding error of order
     # dim * eps * |A||B|, which turns its phase by that over |<A,B>|; the
     # two products and the arg add a few eps more
-    cond = 1.0 + sum(
-        np.linalg.norm(A) * np.linalg.norm(B) / abs(_herm(A, B))
-        for A, B in ((X, Y), (Y, Z), (Z, X))
-    )
+    cond = 1.0 + sum((nx * ny / abs(hxy), ny * nz / abs(hyz), nz * nx / abs(hzx)))
     err = float(half * (model.dim + 2) * np.finfo(float).eps * cond)
-    if err > tol:
+    if not err <= tol:
         raise ValueError(
             f"area rounding bound {err:.2e} exceeds tol {tol:.2e}: "
             "two vertices nearly coincide"

@@ -272,11 +272,12 @@ def _isometry_project(W, p, q):
     Jp-selfadjoint, so the factor makes the pulled-back form exactly lam Jp;
     an exact isometry is left unchanged.  The inverse square root is
     V diag(mu^(-1/2)) V^-1 from Jp S / lam = V diag(mu) V^-1, the principal
-    one when every Re mu > 0; any other fit (a non-positive scale, a
-    rank-deficient fit, NaNs) raises NoRigidModelError.  Returns (W, lam)."""
+    one when every Re mu > 0; any other fit (a non-positive or infinite
+    scale, a rank-deficient fit, NaNs) raises NoRigidModelError.  Returns
+    (W, lam)."""
     JS, lam = _pulled_back_form(W, p, q)
-    if not lam > 0:
-        raise NoRigidModelError("fit collapsed onto a non-positive form scale")
+    if not 0 < lam < np.inf:
+        raise NoRigidModelError("fit collapsed onto a non-positive or infinite form scale")
     return W @ _eig_function(JS / lam, _inverse_sqrt), lam
 
 

@@ -71,6 +71,12 @@ def test_projpoint_classification(disc):
         ProjPoint(np.array([1.0, 0.5]), model=disc)  # positive vector
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_projpoint_rejects_nonfinite_lift(plane2, bad):
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        ProjPoint(np.array([bad, 0.0, 1.0]), model=plane2, kind="boundary")
+
+
 def test_projpoint_canonical_lift(plane2, rng):
     x = random_interior(plane2, rng)
     assert x.lift[-1].imag == 0 and x.lift[-1].real > 0

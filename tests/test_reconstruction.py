@@ -271,7 +271,8 @@ def test_fit_rejects_nonfinite_projection(rng, monkeypatch):
 
 # swapping the negative basis vector with a positive one pulls the form back
 # with scale -1/3; the rank-deficient fits have a positive scale but a zero
-# eigenvalue of Jp S / lam, so no inverse square root
+# eigenvalue of Jp S / lam, so no inverse square root; an infinite entry, or
+# one whose square overflows, makes the scale infinite
 @pytest.mark.parametrize(
     "W,q",
     [
@@ -279,11 +280,13 @@ def test_fit_rejects_nonfinite_projection(rng, monkeypatch):
         (np.full((3, 3), np.nan), 2),
         (np.diag([0.0, 1.0, 1.0]), 2),
         (np.outer(np.eye(4)[0], np.eye(3)[0]), 3),
+        (np.diag([np.inf, 1.0, 1.0]), 2),
+        (np.diag([1e200, 1.0, 1.0]), 2),
     ],
-    ids=["negative", "nan", "rank-2", "rank-1"],
+    ids=["negative", "nan", "rank-2", "rank-1", "inf", "overflow"],
 )
 def test_projection_rejects_nonpositive_scale(W, q):
-    with pytest.raises(NoRigidModelError):
+    with pytest.raises(NoRigidModelError), np.errstate(over="ignore", invalid="ignore"):
         _isometry_project(W, 2, q)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaingeo import HermitianModel, ProjPoint, TriangleArea, triangle_area, verify
+from chaingeo import HermitianModel, ProjPoint, TriangleArea, hermitian, inner, triangle_area, verify
 from chaingeo.busemann import VisualMeasure
 from chaingeo.chains import chain_through, sample_chain_point
 from chaingeo.isometries import apply_isometry, random_isometry
@@ -74,6 +74,70 @@ def test_closed_form_matches_cone_oracle(family, rng):
 def test_chain_triangles_have_area_pi():
     for model, pts in _crit03_triangles():
         assert abs(triangle_area(model, *pts).value - np.pi) < 1e-12
+
+
+def _reference_area(model, x, y, z):
+    """The kernel pair by pair: each pairing and each lift's norm is taken
+    once for the triple product and again for the rounding bound."""
+    for a, b in ((x, y), (y, z), (z, x)):
+        if a.kind == b.kind and a.same_point_as(b):
+            return TriangleArea(0.0, 0.0, degenerate=True)
+    X, Y, Z = x.lift, y.lift, z.lift
+    half = model.metric_scale / 2.0
+    value = half * float(np.angle(-(inner(model, X, Y) * inner(model, Y, Z) * inner(model, Z, X))))
+    cond = 1.0 + sum(
+        np.linalg.norm(A) * np.linalg.norm(B) / abs(inner(model, A, B))
+        for A, B in ((X, Y), (Y, Z), (Z, X))
+    )
+    return TriangleArea(value, float(half * (model.dim + 2) * np.finfo(float).eps * cond))
+
+
+def _degenerate_triangles(rng):
+    """A repeated vertex, and one boundary point given twice with lifts of
+    different phase, for p = 1..3."""
+    out = []
+    for p in (1, 2, 3):
+        model = HermitianModel(p)
+        x, z = random_interior(model, rng), random_boundary(model, rng)
+        turned = ProjPoint(np.exp(0.7j) * z.lift, model=model, kind="boundary")
+        out += [(model, [x, x, z]), (model, [z, x, turned]), (model, [x, z, turned])]
+    return out
+
+
+def test_kernel_matches_reference_bit_for_bit(rng):
+    triangles = (
+        _pattern_triangles(rng, per_pattern=5)
+        + _crit03_triangles()
+        + _crit04_triangles()
+        + _degenerate_triangles(rng)
+    )
+    for model, pts in triangles:
+        # TriangleArea equality compares value, err_estimate and degenerate
+        assert triangle_area(model, *pts) == _reference_area(model, *pts)
+    assert sum(triangle_area(model, *pts).degenerate for model, pts in triangles) == 9
+
+
+def test_kernel_pairs_each_pair_once(monkeypatch, rng):
+    triangles = _pattern_triangles(rng, per_pattern=1)
+    calls = []
+
+    def counted(X, Y, herm=hermitian._herm):
+        calls.append(1)
+        return herm(X, Y)
+
+    monkeypatch.setattr(hermitian, "_herm", counted)
+    for model, pts in triangles:
+        triangle_area(model, *pts)
+    assert len(calls) == 3 * len(triangles)
+
+
+def test_nan_lift_raises_at_the_area_gate(rng):
+    model = HermitianModel(2)
+    x, y, z = random_interior(model, rng), random_boundary(model, rng), random_boundary(model, rng)
+    # a NaN that reaches the kernel past ProjPoint's check gives a NaN bound
+    z.lift = np.array([np.nan, 0.0, 1.0], dtype=complex)
+    with pytest.raises(ValueError, match="rounding bound nan"), np.errstate(invalid="ignore"):
+        triangle_area(model, x, y, z, tol=np.inf)
 
 
 def _near_ideal_pair(model, rng, sep):
