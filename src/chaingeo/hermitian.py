@@ -68,8 +68,8 @@ class HermitianModel:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("complex dimension p must be >= 1")
-        if self.metric_scale <= 0:
-            raise ValueError("metric_scale must be positive")
+        if not 0 < self.metric_scale < np.inf:
+            raise ValueError("metric_scale must be positive and finite")
 
     @property
     def dim(self):
@@ -215,8 +215,8 @@ class TangentVector:
         if v.shape != self.base.lift.shape:
             raise ValueError("component shape mismatch")
         res = abs(_herm(v, self.base.lift))
-        if res > 1e-12 * max(1.0, np.linalg.norm(v)):
-            raise ValueError(f"components not horizontal (residual {res:.2e})")
+        if not res <= 1e-12 * max(1.0, np.linalg.norm(v)) < np.inf:
+            raise ValueError(f"components not finite and horizontal (residual {res:.2e})")
         self.components = v
 
     def norm(self, model):

@@ -6,10 +6,10 @@ of an isometric holomorphic embedding.
 
 The compatibility gate mines co-chain triples from the samples.  All
 random source pairs are drawn at once and tested in draw order, a block at
-a time: a Gram table of the unit source lifts rules out in one pass the
-samples far from each pair's chain, and the span test decides the rest.
-The block size does not change the report, which is the one a
-pair-by-pair loop gives from the same draws.
+a time: a sample's distance from a pair's chain is a bilinear form in the
+outer product of its unit lift, so one real matrix product per block rules
+out the far samples, and the span test decides the rest.  The report is
+the one a pair-by-pair loop gives from the same draws, at any block size.
 
 The fit proceeds in three stages: a projective direct linear solve (each
 sample constrains W xi to the line of its target), an alternation of
@@ -97,54 +97,54 @@ class CompatibilityReport:
         )
 
 
-# pairs tested per block of the co-chain mining loop (a block's Gram rows
-# then stay in cache); the mined triples do not depend on it
-_MINING_BLOCK = 64
-# a pair of unit lifts with 1 - |<a, b>|^2 below this sends every lift to
-# _in_span: the Gram residual divides by that quantity and loses accuracy
+# pairs tested per block of the co-chain mining loop; the mined triples do
+# not depend on it.  Blocks of 64 to 512 run within 20% of one another, and
+# larger ones only grow the (block x n) tables: on the perfbench reconstruct
+# op list peak RSS was 47.2 MB at 256, 50.3 MB at 1024, 60.7 MB in one block
+_MINING_BLOCK = 256
+# a pair of unit lifts with h = 1 - |<a, b>|^2 below this sends every lift to
+# _in_span: the prefilter finds h r^2, so its rounding error in r^2 grows as 1/h
 _NEAR_PAIR = 1e-4
-# the Gram prefilter rules a lift out only when its squared residual exceeds
+# the prefilter rules a lift out only when its squared residual exceeds
 # tol^2 by this much; away from near pairs its rounding error is below 1e-10
 _GRAM_SLACK = 1e-8
 
 
-def _unit_gram(lifts):
-    """Euclidean Gram table E[a, z] = conj(u_a) . u_z of the unit lifts u."""
-    unit = lifts / np.linalg.norm(lifts, axis=-1, keepdims=True)
-    return unit.conj() @ unit.T
+def _real_outer(x, y):
+    """Rows [Re P, Im P] of the outer products P = x y^* (last axis), so
+    that the dot product of two rows is Re tr(P^* R)."""
+    P = x[:, :, None] * y.conj()[:, None, :]
+    return np.concatenate([P.real, P.imag], axis=1).reshape(len(P), -1)
 
 
-def _sq(z):
-    return z.real**2 + z.imag**2
+def _span_members(lifts, unit, table, pairs, tol):
+    """(rows, members): in draw order, the rows (a, b) of ``pairs`` that
+    name two points and may have others on their chain, and for each the
+    sorted z other than a and b with ``_in_span(lifts[[a, b]].T, lifts[z],
+    tol)``, which makes every decision; no other row has members.
 
+    ``unit`` holds the unit lifts u and ``table`` is
+    ``_real_outer(unit, unit).T``.  With g = <u_a, u_b> and h = 1 - |g|^2,
+    the squared distance r^2 of u_z from the span of u_a and u_b obeys
 
-def _span_members(lifts, gram, pairs, tol):
-    """Lifts in the span of each pair's two lifts.
+        h - h r^2 = Re tr(P_ab^* u_z u_z^*),  P_ab = u_a u_a^* + u_b (u_b - 2 g u_a)^*,
 
-    For each row (a, b) of ``pairs``: the sorted indices z other than a and
-    b with ``_in_span(lifts[[a, b]].T, lifts[z], tol)``, which makes every
-    decision; ``gram`` is ``_unit_gram(lifts)``.  With g = E_ab, the
-    squared distance of the unit lift z from the span is
-
-        r^2 = 1 - |E_az|^2 - |E_bz - conj(g) E_az|^2 / (1 - |g|^2),
-
-    and it only rules out the lifts it puts beyond tol^2 + _GRAM_SLACK; a
-    near pair (1 - |g|^2 < _NEAR_PAIR) sends all of them to ``_in_span``.
+    so one real product of the P rows with ``table`` rules out the lifts
+    beyond tol^2 + _GRAM_SLACK, none for a near pair (h < _NEAR_PAIR).
+    Only rows left with candidates are tested for distinct points.
     """
-    a, b = pairs[:, 0], pairs[:, 1]
-    Ea = gram[a]
-    g = gram[a, b][:, None]
-    h = 1.0 - _sq(g)
-    near = h < _NEAR_PAIR
-    r2 = 1.0 - _sq(Ea) - _sq(gram[b] - g.conj() * Ea) / np.where(near, 1.0, h)
-    cand = near | (r2 <= tol**2 + _GRAM_SLACK)
+    a, b = pairs.T
+    ua, ub = unit[a], unit[b]
+    g = np.vecdot(ua, ub)[:, None]
+    h = 1.0 - (g.real**2 + g.imag**2)
+    P = _real_outer(ua, ua) + _real_outer(ub, ub - 2 * g * ua)
+    cand = (h < _NEAR_PAIR) | (P @ table >= h * (1.0 - tol**2 - _GRAM_SLACK))
     rows = np.arange(len(pairs))
     cand[rows, a] = cand[rows, b] = False
-    members = [np.empty(0, dtype=int)] * len(pairs)
-    for t in np.flatnonzero(cand.any(axis=1)):
-        z = np.flatnonzero(cand[t])
-        members[t] = z[_in_span(lifts[pairs[t]].T, lifts[z], tol)]
-    return members
+    rows = np.flatnonzero(cand.any(axis=1))
+    rows = rows[~_same_line(lifts[a[rows]], lifts[b[rows]])]
+    members = [np.flatnonzero(cand[t]) for t in rows]
+    return rows, [z[_in_span(lifts[pairs[t]].T, lifts[z], tol)] for t, z in zip(rows, members)]
 
 
 def _mine_cochain(rng, lifts, n_triples, tol):
@@ -153,18 +153,17 @@ def _mine_cochain(rng, lifts, n_triples, tol):
     sample on the chain through them.
 
     All pairs are drawn in one call and tested in draw order, a block at a
-    time; a pair whose two indices name one point has no chain.  The first
-    ``n_triples`` pairs with members are kept, and one more call picks each
-    k among its pair's members.
+    time, against one table of the unit lifts' outer products (see
+    ``_span_members``).  The first ``n_triples`` pairs with members are
+    kept, and one more call picks each k among its pair's members.
     """
-    n = len(lifts)
-    gram = _unit_gram(lifts)
-    pairs = rng.integers(0, n, size=(20 * n_triples, 2))
+    unit = lifts / np.linalg.norm(lifts, axis=-1, keepdims=True)
+    table = _real_outer(unit, unit).T
+    pairs = rng.integers(0, len(lifts), size=(20 * n_triples, 2))
     hits, members = [], []
     for start in range(0, len(pairs), _MINING_BLOCK):
         block = pairs[start:start + _MINING_BLOCK]
-        distinct = np.flatnonzero(~_same_line(lifts[block[:, 0]], lifts[block[:, 1]]))
-        for t, m in zip(distinct, _span_members(lifts, gram, block[distinct], tol)):
+        for t, m in zip(*_span_members(lifts, unit, table, block, tol)):
             if len(m):
                 hits.append(start + t)
                 members.append(m)

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from chaingeo import (
     HermitianModel,
     ProjPoint,
+    TangentVector,
     distance,
     exp_map,
     geodesic,
@@ -75,6 +76,21 @@ def test_projpoint_classification(disc):
 def test_projpoint_rejects_nonfinite_lift(plane2, bad):
     with pytest.raises(ValueError, match="nonzero and finite"):
         ProjPoint(np.array([bad, 0.0, 1.0]), model=plane2, kind="boundary")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_model_rejects_nonfinite_scale(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        HermitianModel(2, metric_scale=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tangent_rejects_nonfinite_components(plane2, rng, bad):
+    x = random_interior(plane2, rng)
+    v = tangent(plane2, x, rng.normal(size=3)).components
+    v[0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        TangentVector(x, v)
 
 
 def test_projpoint_canonical_lift(plane2, rng):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 
@@ -20,8 +20,8 @@ from chaingeo.isometries import _form_residual
 from chaingeo.reconstruction import (
     CompatibilityReport,
     _isometry_project,
+    _real_outer,
     _span_members,
-    _unit_gram,
 )
 from chaingeo.verify import _planted_sample_map
 
@@ -116,7 +116,7 @@ def test_mining_block_size_leaves_report(name, monkeypatch):
 
 
 def test_span_members_match_in_span():
-    """The Gram prefilter drops no lift that ``_in_span`` accepts, for a
+    """The bilinear prefilter drops no lift that ``_in_span`` accepts, for a
     regular pair, a near pair (1 - |g|^2 ~ 1e-5) and a nearly coincident
     pair (~1e-12), each with lifts at 0.99 and 1.01 tol from its span."""
     rng = np.random.default_rng(8)
@@ -140,17 +140,41 @@ def test_span_members_match_in_span():
             L[slot] = unit(q[:, :2] @ unit(gauss(2)) + eps * q[:, 2])
             planted[slot] = (pair, f < 1)
             slot += 1
-    gram = _unit_gram(L)
-    assert 1 - abs(gram[0, 1]) ** 2 < 1e-4 and 1 - abs(gram[0, 2]) ** 2 < 1e-10
+    assert 1 - abs(np.vdot(L[0], L[1])) ** 2 < 1e-4
+    assert 1 - abs(np.vdot(L[0], L[2])) ** 2 < 1e-10
     pairs = np.array([(a, b) for a in range(40) for b in range(40) if a != b])
-    members = _span_members(L, gram, pairs, tol)
+    rows, found = _span_members(L, L, _real_outer(L, L).T, pairs, tol)
+    members = [[]] * len(pairs)
+    for t, m in zip(rows, found):
+        members[t] = m.tolist()
+    assert list(rows) == sorted(rows)
     for (a, b), got in zip(pairs, members):
         want = [z for z in np.flatnonzero(_in_span(L[[a, b]].T, L, tol)) if z not in (a, b)]
-        assert got.tolist() == want
+        assert got == want
     for z, (pair, inside) in planted.items():
         for a, b in (pair, pair[::-1]):
             row = next(t for t, (u, v) in enumerate(pairs) if (u, v) == (a, b))
             assert (z in members[row]) == inside
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_bilinear_residual_matches_gram(p, seed):
+    """The prefilter's bilinear h r^2, divided by h, is the Gram-table
+    r^2 = 1 - |E_az|^2 - |E_bz - conj(g) E_az|^2 / h of every lift, for a
+    random pair (a, b) that is not near (h >= 1e-4)."""
+    rng = np.random.default_rng(seed)
+    lifts = rng.normal(size=(30, p + 1)) + 1j * rng.normal(size=(30, p + 1))
+    u = lifts / np.linalg.norm(lifts, axis=-1, keepdims=True)
+    E = u.conj() @ u.T
+    a, b = u[:1], u[1:2]
+    g = E[0, 1]
+    h = 1.0 - abs(g) ** 2
+    assume(h >= 1e-4)
+    gram = 1.0 - abs(E[0]) ** 2 - abs(E[1] - g.conj() * E[0]) ** 2 / h
+    P = _real_outer(a, a) + _real_outer(b, b - 2 * g * a)
+    bilinear = (h - (P @ _real_outer(u, u).T)[0]) / h
+    assert np.abs(bilinear - gram).max() <= 1e-10
 
 
 def test_collapsed_map_rejected(rng):
