@@ -1,4 +1,4 @@
-"""JSON wire formats: points, models, chains, matrices, representations.
+"""JSON wire formats: points, chains, matrices, representations.
 
 Complex numbers are [re, im] pairs; vectors and matrices nest them.  Every
 statistics payload carries (seed, N) so runs are reproducible, and dumps
@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .hermitian import HermitianModel, ProjPoint
+from .hermitian import ProjPoint
 from .isometries import Isometry
 from .toledo import RELATOR_TOL, SurfaceGroupRep, _scalar_residual
 
@@ -23,8 +23,6 @@ __all__ = [
     "json_to_matrix",
     "point_to_json",
     "json_to_point",
-    "model_to_json",
-    "json_to_model",
     "rep_from_json",
     "chain_to_json",
     "dumps",
@@ -59,14 +57,6 @@ def json_to_point(data, model):
     if not isinstance(data, dict):
         raise ValueError(f"a point must be a JSON object, got {type(data).__name__}")
     return ProjPoint(json_to_vector(data["lift"]), model=model, kind=data.get("kind"))
-
-
-def model_to_json(model):
-    return {"p": model.p, "metric_scale": model.metric_scale}
-
-
-def json_to_model(data):
-    return HermitianModel(p=int(data["p"]), metric_scale=float(data.get("metric_scale", 4.0)))
 
 
 def rep_from_json(data):

@@ -18,9 +18,10 @@ from chaingeo import (
     volume_entropy,
 )
 from chaingeo import verify
-from chaingeo.busemann import busemann_kappa, busemann_lifts, e_xi_lifts
+from chaingeo.busemann import _BLOCK_ROWS, _row_blocks, busemann_kappa, busemann_lifts, e_xi_lifts
 
 from conftest import random_boundary, random_interior, run_python
+from stream_oracle import whole_array_lifts
 
 
 def test_busemann_closed_form_vs_distance_limit(plane2, rng):
@@ -215,3 +216,23 @@ def test_nan_unit_mass_fails_busemann_criterion(monkeypatch):
     monkeypatch.setattr(verify, "unit_mass_check", lambda *a, **k: (np.nan, 0.01))
     r = verify.crit05_busemann_machinery(n_samples=2_000, n_points=2, n_isoms=1)
     assert np.isnan(r["unit_mass_worst_z"]) and not r["passed"]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_blockwise_sampler_gives_the_whole_array_bytes(p):
+    model = HermitianModel(p)
+    for n in (0, 1, 65535, 65536, 65537, 200_000):
+        got = VisualMeasure(model, seed=7).sample_lifts(n)
+        want = whole_array_lifts(model, n, np.random.default_rng(7))
+        assert got.shape == want.shape == (n, p + 1) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_row_blocks_are_equal_and_cover():
+    assert _row_blocks(0) == []
+    for n in (1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 131_073, 200_000):
+        sizes = [r.stop - r.start for r in _row_blocks(n)]
+        assert len(sizes) == -(-n // _BLOCK_ROWS) and sum(sizes) == n
+        assert max(sizes) <= _BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+        assert [r.start for r in _row_blocks(n)][1:] == list(np.cumsum(sizes)[:-1])
+    assert [r.stop - r.start for r in _row_blocks(200_000)] == [50_000] * 4

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,12 @@ from chaingeo import (
     volume_entropy,
 )
 from chaingeo import verify
-from chaingeo.busemann import VisualMeasure, e_xi_lifts
+from chaingeo.busemann import _BLOCK_ROWS, VisualMeasure, e_xi_lifts
 from chaingeo.chains import cartan_triple_lifts
 from chaingeo.hermitian import _herm
 
 from conftest import random_boundary, random_interior, random_tangent
+from stream_oracle import whole_array_eval
 
 N_MC = 60_000
 
@@ -402,3 +404,65 @@ def test_nan_form_values_show_in_form_criteria(monkeypatch):
     r7 = verify.crit07_closedness(n_points=2, n_samples=2_000)
     assert np.isnan(r7["worst_abs_d"]) and np.isnan(r7["worst_tolerance"])
     assert not r7["passed"]
+
+
+def _pulled_back_angular_cocycle():
+    phi = BoundaryMapHandle.from_embedding(standard_embedding(2, 3))
+    return BoundaryCocycle(3, lambda a, b, c_: cartan_triple_lifts(phi(a), phi(b), phi(c_)), 1.0)
+
+
+@pytest.mark.parametrize("n_samples", [200_000, 131_073])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_blockwise_eval_gives_the_whole_array_bytes(setup, rng, degree, n_samples):
+    model, ent = setup
+    c = _pulled_back_angular_cocycle() if degree == 2 else _sine_cocycle(rng, 2)
+    x = random_interior(model, rng)
+    vs = [random_tangent(model, rng, x) for _ in range(degree)]
+    fe = delta_form_eval(model, ent, c, x, vs, n_samples=n_samples, seed=31)
+    mean, stderr, batches = whole_array_eval(model, ent, c, x, vs, n_samples, seed=31)
+    assert fe.value == mean and fe.mc_stderr == stderr
+    assert fe.batch_means.tobytes() == batches.tobytes()
+
+
+def test_cocycle_sees_at_most_one_block(setup, rng):
+    model, ent = setup
+    seen = []
+    inner = _sine_cocycle(rng, 3)
+
+    def spy(*lifts):
+        seen.append(len(lifts[0]))
+        return inner.evaluator(*lifts)
+
+    c = BoundaryCocycle(3, spy, 1.0)
+    field = delta_form_field(model, ent, c, n_samples=200_000, seed=32)
+    x = random_interior(model, rng)
+    field(x, random_tangent(model, rng, x), random_tangent(model, rng, x))
+    assert max(seen) <= _BLOCK_ROWS and sum(seen) == 200_000
+
+
+def test_field_memory_above_what_it_holds(setup, rng):
+    # a blockwise stream holds its lifts and values; its passes add at most
+    # one block of temporaries (whole-array passes added 50 MiB to the build
+    # and 18 MiB to an evaluation)
+    model, ent = setup
+    x = random_interior(model, rng)
+    u, v = random_tangent(model, rng, x), random_tangent(model, rng, x)
+    c = _pulled_back_angular_cocycle()
+    mib = 2**20
+    tracemalloc.start()
+    try:
+        field = delta_form_field(model, ent, c, n_samples=200_000, seed=33)
+        held, peak = tracemalloc.get_traced_memory()
+        assert peak - held <= 16 * mib
+        tracemalloc.reset_peak()
+        field(x, u, v)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak - held <= 10 * mib
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), -1.0])
+def test_cocycle_bound_must_be_finite_and_non_negative(bound):
+    with pytest.raises(ValueError, match="sup_norm_bound"):
+        BoundaryCocycle(3, lambda a, b, c: np.zeros(len(a)), bound)

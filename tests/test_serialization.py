@@ -3,23 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from chaingeo import HermitianModel, fuchsian_genus2_rep
+from chaingeo import fuchsian_genus2_rep
 from chaingeo.cli import main
 from chaingeo.serialization import (
-    json_to_model,
     matrix_to_json,
-    model_to_json,
     rep_from_json,
     word_to_matrix,
 )
 
 from conftest import random_boundary
-
-
-def test_model_roundtrip():
-    m = HermitianModel(3, metric_scale=4.0)
-    back = json_to_model(model_to_json(m))
-    assert back.p == 3 and back.metric_scale == 4.0
 
 
 def test_rep_with_relator_words():
