@@ -17,13 +17,11 @@ from .busemann import (
 )
 from .chains import (
     Chain,
-    ChainConfig,
     cartan_invariant,
     cartan_invariant_flagged,
     chain_contains,
     chain_through,
     heisenberg_projection,
-    k_plane_through,
     sample_chain_point,
 )
 from .forms import (

@@ -10,7 +10,10 @@ disc it bounds).  The angular invariant of a boundary triple is
 for arbitrary lifts v_i; it is lift-independent, alternating, takes values
 in [-1, 1], and has |c| = 1 exactly on pairwise-distinct triples lying on
 one chain.  The sign is calibrated so the positively oriented triple
-(1, i, -1) on the unit circle of H^1_C gives +1.
+(1, i, -1) on the unit circle of H^1_C gives +1.  The phase is the one
+``hermitian._holonomy`` gives for the Kahler area (c is the area of the
+ideal triangle over pi); its rounding bound carries over, and values are
+clipped to [-1, 1], which rounding near a chain would otherwise leave.
 """
 
 from __future__ import annotations
@@ -19,40 +22,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermitianModel, ProjPoint, _gram, _herm, _triple_product
+from .hermitian import HermitianModel, ProjPoint, _gram, _herm, _holonomy
 
 __all__ = [
     "Chain",
-    "ChainConfig",
     "cartan_invariant",
     "cartan_invariant_flagged",
     "cartan_triple_lifts",
     "chain_through",
     "chain_contains",
-    "k_plane_through",
     "sample_chain_point",
     "heisenberg_projection",
 ]
 
-DEGENERACY_TOL = 1e-12
-
 
 def _cartan_flagged(X, Y, Z):
-    """Angular invariant of raw lifts and the degeneracy flag, along the
-    last axis.  A triple is degenerate when its triple product is below
-    DEGENERACY_TOL relative to |X|^2 |Y|^2 |Z|^2, so the flag, like the
-    invariant, does not depend on the lifts chosen."""
-    t = _triple_product(X, Y, Z)
-    scale = np.vecdot(X, X).real * np.vecdot(Y, Y).real * np.vecdot(Z, Z).real
-    degenerate = np.abs(t) < DEGENERACY_TOL * scale
-    return np.where(degenerate, 0.0, (2.0 / np.pi) * np.angle(-t)), degenerate
+    """Angular invariant of raw lifts (last axis), its rounding bound and
+    the degeneracy flag of ``hermitian._holonomy``.  The invariant is
+    clipped to [-1, 1] and is 0 on degenerate triples; the bound
+    (2/pi) (dim + 2) eps cond holds where the triple is not degenerate."""
+    phase, cond, degenerate = _holonomy(X, Y, Z)
+    c = np.where(degenerate, 0.0, np.clip((2.0 / np.pi) * phase, -1.0, 1.0))
+    err = (2.0 / np.pi) * (X.shape[-1] + 2) * np.finfo(float).eps * cond
+    return c, err, degenerate
 
 
 def cartan_triple_lifts(lifts1, lifts2, lifts3):
     """Vectorized angular invariant from raw boundary lifts (last axis = C^{p+1}).
 
-    Degenerate triples (vanishing triple product, relative to the lift
-    norms) give 0.
+    It reads the holonomy kernel ``hermitian._holonomy`` that also gives
+    the Kahler area, clipped to [-1, 1]; its rounding error is at most
+    (2/pi) (p + 3) eps cond (see ``_cartan_flagged``).  Degenerate triples
+    (vanishing triple product, relative to the lift norms) give 0.
     """
     return _cartan_flagged(lifts1, lifts2, lifts3)[0]
 
@@ -62,7 +63,7 @@ def cartan_invariant_flagged(model, x1, x2, x3):
     for x in (x1, x2, x3):
         if not x.is_boundary:
             raise ValueError("the angular invariant is defined on boundary points")
-    value, degenerate = _cartan_flagged(x1.lift, x2.lift, x3.lift)
+    value, _, degenerate = _cartan_flagged(x1.lift, x2.lift, x3.lift)
     return float(value), bool(degenerate)
 
 
@@ -127,19 +128,6 @@ class Chain:
         return Chain(self.span, -self.orientation, self.model)
 
 
-@dataclass
-class ChainConfig:
-    """A chain together with k boundary points lying on it."""
-
-    chain: Chain
-    points: list
-
-    def __post_init__(self):
-        for pt in self.points:
-            if not chain_contains(self.chain, pt):
-                raise ValueError("configuration point not on the chain")
-
-
 def chain_through(model, xi, eta):
     """The unique chain through two distinct boundary points.
 
@@ -168,25 +156,6 @@ def _in_span(span, lifts, tol):
 def chain_contains(C, zeta, tol=1e-8):
     """Whether a boundary point lies on the chain (projective residual test)."""
     return bool(_in_span(C.span, zeta.lift, tol))
-
-
-def k_plane_through(model, points):
-    """Span of k+1 boundary points in general position: a k-plane.
-
-    Returns an orthonormal (Euclidean) basis of the span; raises if the
-    restricted form is not of signature (k, 1).
-    """
-    lifts = np.column_stack([p.lift for p in points])
-    k = lifts.shape[1] - 1
-    q, r = np.linalg.qr(lifts)
-    rank = int(np.sum(np.abs(np.diag(r)) > 1e-10 * abs(r[0, 0])))
-    if rank != k + 1:
-        raise ValueError("points are not in general position")
-    basis = q[:, : k + 1]
-    ev = np.linalg.eigvalsh(_gram(basis, basis))
-    if not (ev[0] < -1e-10 and np.all(ev[1:] > 1e-10)):
-        raise ValueError("span is degenerate or of wrong signature")
-    return basis
 
 
 def sample_chain_point(C, t):

@@ -343,9 +343,40 @@ class TriangleArea:
         return self.value
 
 
-def _triple_product(X, Y, Z):
-    """Hermitian triple product <X,Y><Y,Z><Z,X>, along the last axis."""
-    return _herm(X, Y) * _herm(Y, Z) * _herm(Z, X)
+def _norm(X):
+    """Euclidean norm along the last axis, equal bit for bit to
+    ``np.linalg.norm`` of each row."""
+    return np.sqrt(np.vecdot(X.real, X.real) + np.vecdot(X.imag, X.imag))
+
+
+def _holonomy(X, Y, Z):
+    """Phase arg(-<X,Y><Y,Z><Z,X>) of the lifts X, Y, Z (last axis), its
+    rounding condition number and the degeneracy flag.
+
+    A pairing <A,B> is summed with absolute rounding error of order
+    dim * eps * |A||B|, which turns its phase by r = |A||B| / |<A,B>|; the
+    two products and the arg add a few eps more, so the phase is off by
+    at most about (dim + 2) * eps * cond with cond = 1 + r_xy + r_yz + r_zx.
+    A triple is degenerate when r_xy r_yz r_zx > 1e12, that is when the
+    triple product is below 1e-12 |X|^2 |Y|^2 |Z|^2, so the flag, like the
+    phase, does not depend on the lifts chosen.  A zero pairing gives an
+    infinite ratio and a degenerate triple.
+    """
+    # at most two pairings are held at once, which bounds the peak on large
+    # stacks; builtin abs keeps the scalar modulus on one triple, whose
+    # bits np.abs would change
+    hxy, hyz = _herm(X, Y), _herm(Y, Z)
+    mxy, myz = abs(hxy), abs(hyz)
+    t = hxy * hyz
+    del hxy, hyz
+    hzx = _herm(Z, X)
+    mzx = abs(hzx)
+    phase = np.angle(-(t * hzx))
+    del t, hzx
+    nx, ny, nz = _norm(X), _norm(Y), _norm(Z)
+    with np.errstate(divide="ignore"):
+        rxy, ryz, rzx = nx * ny / mxy, ny * nz / myz, nz * nx / mzx
+    return phase, 1.0 + (rxy + ryz + rzx), rxy * ryz * rzx > 1e12
 
 
 def triangle_area(model, x, y, z, tol=1e-6):
@@ -359,8 +390,10 @@ def triangle_area(model, x, y, z, tol=1e-6):
     for any lifts (Goldman, Complex Hyperbolic Geometry, 7.1; Toledo 1989).
     It is alternating in the arguments and bounded by pi in absolute value
     for metric_scale = 4.  Degenerate triples (two projectively equal
-    points) return 0 with the ``degenerate`` flag set.  Each pair of
-    vertices is paired once, and ``err_estimate`` reuses those pairings.
+    points) return 0 with the ``degenerate`` flag set.  The phase and its
+    condition number come from ``_holonomy``, the kernel that also gives
+    the angular invariant, and ``err_estimate`` is the rounding bound
+    (metric_scale / 2) * (dim + 2) * eps * cond stated there.
 
     ``tol`` is the accuracy the caller needs: a ``ValueError`` is raised
     when the rounding bound ``err_estimate`` exceeds it or is NaN, as when
@@ -369,15 +402,9 @@ def triangle_area(model, x, y, z, tol=1e-6):
     for a, b in ((x, y), (y, z), (z, x)):
         if a.kind == b.kind and a.same_point_as(b):
             return TriangleArea(0.0, 0.0, degenerate=True)
-    X, Y, Z = x.lift, y.lift, z.lift
-    hxy, hyz, hzx = _herm(X, Y), _herm(Y, Z), _herm(Z, X)
-    nx, ny, nz = np.linalg.norm(X), np.linalg.norm(Y), np.linalg.norm(Z)
+    phase, cond, _ = _holonomy(x.lift, y.lift, z.lift)
     half = model.metric_scale / 2.0
-    value = half * float(np.angle(-(hxy * hyz * hzx)))
-    # a pairing <A,B> is summed with absolute rounding error of order
-    # dim * eps * |A||B|, which turns its phase by that over |<A,B>|; the
-    # two products and the arg add a few eps more
-    cond = 1.0 + sum((nx * ny / abs(hxy), ny * nz / abs(hyz), nz * nx / abs(hzx)))
+    value = half * float(phase)
     err = float(half * (model.dim + 2) * np.finfo(float).eps * cond)
     if not err <= tol:
         raise ValueError(

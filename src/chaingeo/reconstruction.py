@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import _in_span, cartan_triple_lifts
-from .hermitian import _same_line
+from .hermitian import _norm, _same_line
 from .isometries import EmbeddingMap, _eig_function, _form_residual, _pulled_back_form
 
 __all__ = [
@@ -240,7 +240,7 @@ def _dlt(src, tgt):
     """Direct linear solve: rows constrain W xi to the target line."""
     m, dp = src.shape
     dq = tgt.shape[1]
-    eta = tgt / np.array([np.linalg.norm(t) for t in tgt])[:, None]
+    eta = tgt / _norm(tgt)[:, None]
     # P_i = 1 - eta_i eta_i*, the projector off the target line; the row
     # block of sample i is kron(P_i, src_i)
     P = np.eye(dq) - eta[:, :, None] * eta.conj()[:, None, :]

@@ -1,5 +1,6 @@
 """Closed-form Kahler areas against the cone-filling quadrature oracle, the
-rounding bound and its tolerance gate, and the cocycle properties."""
+holonomy kernel shared with the angular invariant, the rounding bound and
+its tolerance gate, and the cocycle properties."""
 
 import numpy as np
 import pytest
@@ -129,6 +130,43 @@ def test_kernel_pairs_each_pair_once(monkeypatch, rng):
     for model, pts in triangles:
         triangle_area(model, *pts)
     assert len(calls) == 3 * len(triangles)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_norm_matches_linalg_norm_bit_for_bit(d, rng):
+    A = (rng.normal(size=(2000, d)) + 1j * rng.normal(size=(2000, d))) * 10.0 ** rng.uniform(
+        -8, 8, size=(2000, 1)
+    )
+    ref = np.array([np.linalg.norm(a) for a in A])
+    for B in (A, np.asfortranarray(A)):
+        assert hermitian._norm(B).tobytes() == ref.tobytes()
+    assert hermitian._norm(A[::-1])[::-1].tobytes() == ref.tobytes()
+    assert all(hermitian._norm(a) == r for a, r in zip(A[:50], ref))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_holonomy_stack_matches_row_calls(p, rng):
+    """The kernel gives the same bytes on a stack as on each of its rows,
+    degenerate rows included, so a stream cut into blocks reads the same.
+    A 1-D call, the path of ``triangle_area``, takes numpy's scalar complex
+    product and modulus, which can differ in the last bit from the array
+    loops: it gets the same flag, and its phase agrees within the rounding
+    bound."""
+    model = HermitianModel(p)
+    eps = np.finfo(float).eps
+    X, Y, Z = VisualMeasure(model).sample_lifts(600, rng=rng).reshape(3, 200, model.dim)
+    Y[:10] = X[:10]  # a null lift pairs to zero with itself
+    Z[10:20] = 1e-7 * X[10:20] + Y[10:20] * np.exp(1.3j)
+    phase, cond, degenerate = hermitian._holonomy(X, Y, Z)
+    assert degenerate[:10].all() and not degenerate[20:].any()
+    for i in range(len(X)):
+        row = hermitian._holonomy(X[i : i + 1], Y[i : i + 1], Z[i : i + 1])
+        assert (row[0][0], row[1][0], row[2][0]) == (phase[i], cond[i], degenerate[i])
+        ph, c, deg = hermitian._holonomy(X[i], Y[i], Z[i])
+        assert deg == degenerate[i]
+        if not deg:
+            assert abs(c - cond[i]) <= 4 * eps * c
+            assert abs(ph - phase[i]) <= (model.dim + 2) * eps * c
 
 
 def test_nan_lift_raises_at_the_area_gate(rng):
