@@ -17,8 +17,9 @@ grows toward xi and integrates to 1 against the visual measure.  Here h is
 the volume entropy of H_C^p, 2p/sqrt(metric_scale): geodesic spheres have
 one Jacobi direction of curvature -4/metric_scale and 2p-2 of curvature
 -1/metric_scale, so their area grows like exp(2p r/sqrt(metric_scale)).
-``e_xi_lifts`` is the one implementation of the weight: ``e_xi``, the
-measure checks below and the bounded forms all call it.
+With O = e_{p+1} the origin's lift, e_xi(x) is the Poisson kernel
+-<X,X> |<xi,O>|^2 / |<xi,X>|^2 to the power h kappa = p: ``_poisson_power``
+is the one implementation of the weight, for ``e_xi_lifts`` and the forms.
 
 The visual measure nu_0 at the origin is the round measure: uniform on the
 unit sphere of the positive coordinates in the canonical chart, which is
@@ -124,19 +125,20 @@ def e_xi(model, entropy, xi, x):
     return float(e_xi_lifts(model, entropy, xi.lift, x.lift))
 
 
-def e_xi_lifts(model, entropy, xi_lifts, X, xi_x=None):
+def e_xi_lifts(model, entropy, xi_lifts, X):
     """Vectorized weight exp(-h B_xi(x, 0)) over an array of boundary lifts.
 
-    The origin's lift is e_{p+1}, so <xi, O> = -xi[..., -1] and
-    <O, O> = -1: the samples are not paired with the origin.  A caller that
-    needs the pairings <xi, X> itself passes them as ``xi_x``, so they are
-    computed once.
+    The origin's lift is e_{p+1}, so |<xi, O>| = |xi[..., -1]|: the samples
+    are not paired with the origin.
     """
-    if xi_x is None:
-        xi_x = _pairings(xi_lifts, X)
-    num = -np.abs(xi_x) ** 2
-    den = np.abs(xi_lifts[..., -1]) ** 2 * _herm(X, X).real
-    return np.exp(-entropy.value * (busemann_kappa(model) * np.log(num / den)))
+    xi_o2, xi_x2 = np.abs(xi_lifts[..., -1]) ** 2, np.abs(_pairings(xi_lifts, X)) ** 2
+    return _poisson_power(model, entropy, -_herm(X, X).real, xi_o2, xi_x2)
+
+
+def _poisson_power(model, entropy, neg_xx, xi_o2, xi_x2):
+    """(-<X,X> |<xi,O>|^2 / |<xi,X>|^2) ** (h kappa) from the squared moduli:
+    exp(-h B_xi(x, 0)) with no log or exp, as h kappa = p to rounding."""
+    return (neg_xx * xi_o2 / xi_x2) ** (entropy.value * busemann_kappa(model))
 
 
 def volume_entropy(model):
@@ -171,12 +173,12 @@ def _test_family(model, lifts):
 _BLOCK_ROWS = 65536  # the most rows of a sample stream that one pass holds
 
 
-def _row_blocks(n):
-    """ceil(n / _BLOCK_ROWS) slices cutting range(n) into blocks of equal
-    size, to one row.  numpy rounds small arrays differently (a 3392-row
+def _row_blocks(n, rows=_BLOCK_ROWS):
+    """ceil(n / rows) slices cutting range(n) into blocks of equal size, to
+    one row.  numpy rounds small arrays differently (a 3392-row
     tail changed about 1k of 200k angular-cocycle values), so no block is
     small, and a blockwise pass gives the whole-array bytes."""
-    k = -(-n // _BLOCK_ROWS)
+    k = -(-n // rows)
     return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 

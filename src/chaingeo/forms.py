@@ -26,11 +26,12 @@ The samples and the cocycle values on them do not depend on the point x.
 They form a sample stream, drawn and evaluated once: ``delta_form_field``
 builds one when the field is made and keeps it, (n+1) * N * (p+1) complex
 lifts plus N cocycle values (about 30 MB at N = 200k and n = p = 2), while
-``delta_form_eval`` builds one per call.  Both passes run over equal row
-blocks (``busemann._row_blocks``): at that size, building peaks about 14 MB
-and one evaluation about 8 MB above what the stream holds.  Evaluating at
-x needs only the pairings of the samples with x and the tangent vectors,
-one matrix-vector product each.
+``delta_form_eval`` builds one per call.  The build runs over equal row
+blocks (``busemann._row_blocks``) and peaks about 14 MB above what the
+stream holds.  An evaluation pairs each block of ``_EVAL_ROWS`` lifts with
+W = [x, the origin, the vectors] in one real matrix product on their real
+view, takes the weight as the Poisson kernel to the power p, and peaks
+about 3 MB above what the stream holds.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .busemann import VisualMeasure, _batch_stats, _row_blocks, e_xi_lifts
+from .busemann import VisualMeasure, _batch_stats, _poisson_power, _row_blocks
 from .chains import cartan_triple_lifts, chain_through, sample_chain_point
-from .hermitian import _herm, _pairings, exp_map, tangent
+from .hermitian import _form_diagonal, _herm, exp_map, tangent
+
+_EVAL_ROWS = 8192  # the rows of one evaluation block, whose pairings stay in cache
 
 __all__ = [
     "BoundaryCocycle",
@@ -61,7 +64,8 @@ class BoundaryCocycle:
     """Bounded measurable function on (arity)-tuples of boundary points.
 
     ``evaluator`` receives ``arity`` arrays of lifts, each (N, p+1), and
-    returns (N,) values with |value| <= sup_norm_bound.
+    returns (N,) values with |value| <= sup_norm_bound.  ``alternating`` is
+    a declaration that nothing checks.
     """
 
     arity: int
@@ -82,17 +86,6 @@ class BoundaryCocycle:
         if vals.size and np.max(np.abs(vals)) > self.sup_norm_bound * (1 + 1e-9):
             raise ValueError("cocycle exceeded its declared sup-norm bound")
         return vals
-
-    def check_alternating(self, sample_lifts, tol=1e-9):
-        """Sampled verification of the alternating flag: swapping the first
-        two arguments must flip the sign.  ``sample_lifts`` is a tuple of
-        arity-many lift arrays."""
-        if not self.alternating:
-            return True
-        a = self(*sample_lifts)
-        swapped = (sample_lifts[1], sample_lifts[0]) + tuple(sample_lifts[2:])
-        b = self(*swapped)
-        return bool(np.max(np.abs(a + b)) <= tol)
 
 
 @dataclass
@@ -149,26 +142,35 @@ class _SampleStream:
         n = self.degree
         if len(vectors) != n:
             raise ValueError(f"degree-{n} form needs {n} tangent vectors")
+        if not x.is_interior:
+            raise ValueError("forms are evaluated at interior points")
         for v in vectors:
             if not v.base.same_point_as(x):
                 raise ValueError("tangent vectors must be based at x")
-        model, h, s = self.model, self.entropy.value, self.model.metric_scale
-        X = x.lift
-        # (de^xi)_x(v) = h s Re<v, U_xi> e^xi with U_xi the unit tangent at x
-        # toward xi, and s Re<v, U_xi> = sqrt(s) Re(-<xi, v>/<xi, X> - <v, X>)
-        vecs = [(v.components, _herm(v.components, X).real) for v in vectors]
+        h, s, X = self.entropy.value, self.model.metric_scale, x.lift
+        # the real view (Re xi_0, Im xi_0, Re xi_1, ...) of a lift dotted with
+        # that of J W (J the form diagonal) is Re<xi, W>, with that of i J W
+        # Im<xi, W>: B's rows give Re<xi, W_k>, then Im<xi, W_k>, W = [X, O, V_1..V_n]
+        m = n + 2
+        W = np.stack([X, np.eye(len(X))[-1], *(v.components for v in vectors)])
+        B = np.concatenate([W, 1j * W]).view(float) * np.repeat(_form_diagonal(len(X)), 2)
+        neg_xx, v_x = -_herm(X, X).real, [_herm(v.components, X).real for v in vectors]
         integrand = np.empty(self.n_samples)
-        for r in _row_blocks(self.n_samples):
-            block = self.values[r] * e_xi_lifts(model, self.entropy, self.lifts[0][r], X)
+        for r in _row_blocks(self.n_samples, rows=_EVAL_ROWS):
+            # the first array's weight needs only the X and O rows
+            re, im = (B[[0, 1, m, m + 1]] @ self.lifts[0][r].view(float).T).reshape(2, 2, -1)
+            block = self.values[r] * _poisson_power(
+                self.model, self.entropy, neg_xx, re[1] ** 2 + im[1] ** 2, re[0] ** 2 + im[0] ** 2)
             des = []
-            for xi in (lifts[r] for lifts in self.lifts[1:]):
-                # one pairing of the samples with x gives the weight and the
-                # direction field
-                xi_x = _pairings(xi, X)
-                weight = h * np.sqrt(s) * e_xi_lifts(model, self.entropy, xi, X, xi_x=xi_x)
-                minus_inv = -1.0 / xi_x
-                des.append([weight * ((_pairings(xi, V) * minus_inv).real - v_x)
-                            for V, v_x in vecs])
+            for lifts in self.lifts[1:]:
+                # (de^xi)_x(v) = h s Re<v, U_xi> e^xi with U_xi the unit tangent
+                # at x toward xi, = h sqrt(s) e^xi Re(-<xi, v>/<xi, X> - <v, X>)
+                re, im = (B @ lifts[r].view(float).T).reshape(2, m, -1)
+                xi_x2 = re[0] ** 2 + im[0] ** 2
+                e = h * np.sqrt(s) * _poisson_power(
+                    self.model, self.entropy, neg_xx, re[1] ** 2 + im[1] ** 2, xi_x2)
+                des.append([e * (-(re[k] * re[0] + im[k] * im[0]) / xi_x2 - v_x[k - 2])
+                            for k in range(2, m)])
             if n == 1:
                 block = block * des[0][0]
             elif n == 2:
@@ -208,15 +210,11 @@ def delta_form_field(model, entropy, c, n_samples=200_000, seed=0):
     The stream is drawn, and the cocycle evaluated, once, here; the field
     holds (n+1) * n_samples * (p+1) complex lifts and n_samples cocycle
     values, about 30 MB at n_samples = 200k, n = p = 2, and building it
-    peaks about 14 MB above that.  Each call costs only the pairings of the
-    samples with x and the vectors, and peaks about 8 MB above what is held.
+    peaks about 14 MB above that.  Each call costs one real matrix product
+    per sample array and row block, and peaks about 3 MB above what is held.
     """
     stream = _SampleStream(model, entropy, c, n_samples, seed)
-
-    def field_eval(x, *vectors):
-        return stream.evaluate(x, vectors)
-
-    return field_eval
+    return lambda x, *vectors: stream.evaluate(x, vectors)
 
 
 class BoundaryMapHandle:

@@ -1,14 +1,18 @@
 """Reference for the sample stream: the whole-array passes.
 
-``VisualMeasure.sample_lifts``, the cocycle pass of ``forms._SampleStream``
-and its ``evaluate`` run over equal row blocks.  This module keeps the
+``VisualMeasure.sample_lifts`` and the cocycle pass of
+``forms._SampleStream`` run over equal row blocks; this module keeps the
 same arithmetic over whole N-row arrays, so the tests can assert that the
-blocks give the same bytes.
+blocks give the same bytes.  ``_SampleStream.evaluate`` pairs the samples
+in real arithmetic and takes the weight as a power of the Poisson kernel;
+``whole_array_eval`` keeps the independent complex form, with complex
+pairings, a complex quotient and the weight as exp(-h B), which agrees
+with it to rounding.
 """
 
 import numpy as np
 
-from chaingeo.busemann import _batch_stats, e_xi_lifts
+from chaingeo.busemann import _batch_stats, busemann_kappa
 from chaingeo.hermitian import _herm, _pairings
 
 
@@ -21,6 +25,16 @@ def whole_array_lifts(model, n, rng):
     return lifts / np.sqrt(2.0)
 
 
+def exp_log_weight(model, entropy, xi_lifts, X, xi_x=None):
+    """The weight exp(-h B_xi(x, 0)), with B from the closed-form cocycle's
+    log; <xi, O> = -xi[..., -1] and <O, O> = -1."""
+    if xi_x is None:
+        xi_x = _pairings(xi_lifts, X)
+    num = -np.abs(xi_x) ** 2
+    den = np.abs(xi_lifts[..., -1]) ** 2 * _herm(X, X).real
+    return np.exp(-entropy.value * (busemann_kappa(model) * np.log(num / den)))
+
+
 def whole_array_eval(model, entropy, c, x, vectors, n_samples, seed):
     """(mean, stderr, batch means) of ``delta_form_eval`` on the same
     stream, with the cocycle called once on all samples."""
@@ -28,11 +42,11 @@ def whole_array_eval(model, entropy, c, x, vectors, n_samples, seed):
     lifts = [whole_array_lifts(model, n_samples, rng) for _ in range(c.arity)]
     h, s = entropy.value, model.metric_scale
     X = x.lift
-    integrand = c(*lifts) * e_xi_lifts(model, entropy, lifts[0], X)
+    integrand = c(*lifts) * exp_log_weight(model, entropy, lifts[0], X)
     des = []
     for xi in lifts[1:]:
         xi_x = _pairings(xi, X)
-        weight = h * np.sqrt(s) * e_xi_lifts(model, entropy, xi, X, xi_x=xi_x)
+        weight = h * np.sqrt(s) * exp_log_weight(model, entropy, xi, X, xi_x=xi_x)
         minus_inv = -1.0 / xi_x
         de_on = []
         for v in vectors:

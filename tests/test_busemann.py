@@ -23,6 +23,8 @@ from chaingeo.busemann import _BLOCK_ROWS, _row_blocks, busemann_kappa, busemann
 from conftest import random_boundary, random_interior, run_python
 from stream_oracle import whole_array_lifts
 
+EPS = np.finfo(float).eps
+
 
 def test_busemann_closed_form_vs_distance_limit(plane2, rng):
     # the closed form with kappa = sqrt(s)/2 must agree with the
@@ -155,23 +157,41 @@ def test_sample_lifts_match_two_normal_draws(p):
     assert lifts.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def _assert_exp_log_weight(e, hB):
+    """The Poisson-power weight against its exp-log form exp(-h B): the
+    power is exact to rounding, and exp turns B's rounding, relative to
+    |h B|, into a relative error of the weight."""
+    want = np.exp(-hB)
+    assert np.all(np.abs(e - want) <= 16 * EPS * (1 + np.abs(hB)) * want)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_exi_lifts_match_basepoint_pairing(p):
     """Reading <xi, O> off the last coordinate gives the weights of the
-    cocycle against the origin's lift, bit for bit, also on raw lifts and
-    through the one-point ``e_xi``."""
-    model = HermitianModel(p)
-    ent = volume_entropy(model)
-    x = random_interior(model, np.random.default_rng(p))
-    origin = model.basepoint()
-    nu = VisualMeasure(model, seed=p)
-    lifts = nu.sample_lifts(1000)
-    for xi in (lifts, lifts * 1e-3 * np.exp(0.9j)):
-        want = np.exp(-ent.value * busemann_lifts(model, xi, x.lift, origin.lift))
-        assert e_xi_lifts(model, ent, xi, x.lift).tobytes() == want.tobytes()
-    for xi in nu.sample_points(200):
-        want = float(np.exp(-ent.value * busemann(model, xi, x, origin)))
-        assert e_xi(model, ent, xi, x) == want
+    cocycle against the origin's lift, exp(-h B_xi(x, 0)), to rounding, at
+    several metric scales, also on scaled lifts and through the one-point
+    ``e_xi``."""
+    for s in (1.0, 4.0, 5.0, 16.0):
+        model = HermitianModel(p, metric_scale=s)
+        ent = volume_entropy(model)
+        x = random_interior(model, np.random.default_rng(p))
+        origin = model.basepoint()
+        nu = VisualMeasure(model, seed=p)
+        lifts = nu.sample_lifts(1000)
+        for xi in (lifts, lifts * 1e-3 * np.exp(0.9j)):
+            hB = ent.value * busemann_lifts(model, xi, x.lift, origin.lift)
+            _assert_exp_log_weight(e_xi_lifts(model, ent, xi, x.lift), hB)
+        for xi in nu.sample_points(200):
+            _assert_exp_log_weight(e_xi(model, ent, xi, x), ent.value * busemann(model, xi, x, origin))
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 4.0, 5.0, 7.3, 16.0])
+def test_weight_exponent_is_p(s):
+    # h kappa = (2p / sqrt(s)) (sqrt(s) / 2) = p, so the weight is the p-th
+    # power of the Poisson kernel at every metric scale
+    for p in (1, 2, 3, 4, 5):
+        model = HermitianModel(p, metric_scale=s)
+        assert abs(volume_entropy(model).value * busemann_kappa(model) - p) <= 2 * EPS * p
 
 
 def test_visual_measure_rotation_invariance_chisquare():

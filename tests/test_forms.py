@@ -21,7 +21,7 @@ from chaingeo import (
     standard_embedding,
     volume_entropy,
 )
-from chaingeo import verify
+from chaingeo import forms, verify
 from chaingeo.busemann import _BLOCK_ROWS, VisualMeasure, e_xi_lifts
 from chaingeo.chains import cartan_triple_lifts
 from chaingeo.hermitian import _herm
@@ -57,6 +57,15 @@ def test_constant_cocycle_vanishes(setup, rng):
     const1 = BoundaryCocycle(2, lambda a, b: np.ones(len(a)), 1.0)
     fe1 = delta_form_eval(model, ent, const1, x, [u], n_samples=N_MC, seed=1)
     assert abs(fe1.value) < 3 * fe1.mc_stderr
+
+
+def test_form_at_a_boundary_point_raises(setup, rng):
+    # the weights and the direction field are singular at the boundary; the
+    # exp-log weight gave NaN there, the Poisson power a finite 0
+    model, ent = setup
+    c0 = BoundaryCocycle(1, lambda a: np.ones(len(a)), 1.0)
+    with pytest.raises(ValueError, match="interior"):
+        delta_form_eval(model, ent, c0, random_boundary(model, rng), [], n_samples=2_000, seed=2)
 
 
 def test_degree_zero_is_weighted_average(setup, rng):
@@ -286,26 +295,6 @@ def test_cocycle_rejects_non_finite_values(setup, rng):
             c(lifts, lifts, lifts)
 
 
-def test_alternating_flag_check(setup, rng):
-    model, _ = setup
-    emb = standard_embedding(2, 3)
-    phi = BoundaryMapHandle.from_embedding(emb)
-
-    def ev(l0, l1, l2):
-        return cartan_triple_lifts(phi(l0), phi(l1), phi(l2))
-
-    c = BoundaryCocycle(3, ev, 1.0, alternating=True)
-    lifts = tuple(
-        np.stack([random_boundary(model, rng).lift for _ in range(20)])
-        for _ in range(3)
-    )
-    assert c.check_alternating(lifts)
-    non_alt = BoundaryCocycle(
-        3, lambda a, b, c_: np.ones(len(a)), 1.0, alternating=True
-    )
-    assert not non_alt.check_alternating(lifts)
-
-
 def _sine_cocycle(rng, arity):
     refs = rng.normal(size=(arity, 3)) + 1j * rng.normal(size=(arity, 3))
 
@@ -413,15 +402,22 @@ def _pulled_back_angular_cocycle():
 
 @pytest.mark.parametrize("n_samples", [200_000, 131_073])
 @pytest.mark.parametrize("degree", [1, 2])
-def test_blockwise_eval_gives_the_whole_array_bytes(setup, rng, degree, n_samples):
+def test_blockwise_eval_gives_the_whole_array_bytes(setup, rng, monkeypatch, degree, n_samples):
+    # every evaluation block size, the whole array included, gives the same
+    # bytes; the complex exp-log oracle agrees to rounding
     model, ent = setup
     c = _pulled_back_angular_cocycle() if degree == 2 else _sine_cocycle(rng, 2)
     x = random_interior(model, rng)
     vs = [random_tangent(model, rng, x) for _ in range(degree)]
-    fe = delta_form_eval(model, ent, c, x, vs, n_samples=n_samples, seed=31)
-    mean, stderr, batches = whole_array_eval(model, ent, c, x, vs, n_samples, seed=31)
-    assert fe.value == mean and fe.mc_stderr == stderr
-    assert fe.batch_means.tobytes() == batches.tobytes()
+    got = []
+    for rows in (n_samples, 65536, 8192, 1000):
+        monkeypatch.setattr(forms, "_EVAL_ROWS", rows)
+        got.append(delta_form_eval(model, ent, c, x, vs, n_samples=n_samples, seed=31))
+    for fe in got[1:]:
+        assert fe.value == got[0].value and fe.mc_stderr == got[0].mc_stderr
+        assert fe.batch_means.tobytes() == got[0].batch_means.tobytes()
+    _, _, batches = whole_array_eval(model, ent, c, x, vs, n_samples, seed=31)
+    assert np.max(np.abs(got[0].batch_means - batches)) <= 1e-13 * np.max(np.abs(batches))
 
 
 def test_cocycle_sees_at_most_one_block(setup, rng):
@@ -443,7 +439,8 @@ def test_cocycle_sees_at_most_one_block(setup, rng):
 def test_field_memory_above_what_it_holds(setup, rng):
     # a blockwise stream holds its lifts and values; its passes add at most
     # one block of temporaries (whole-array passes added 50 MiB to the build
-    # and 18 MiB to an evaluation)
+    # and 18 MiB to an evaluation, complex pairings over 65536-row blocks
+    # 7.6 MiB to an evaluation)
     model, ent = setup
     x = random_interior(model, rng)
     u, v = random_tangent(model, rng, x), random_tangent(model, rng, x)
@@ -457,7 +454,7 @@ def test_field_memory_above_what_it_holds(setup, rng):
         tracemalloc.reset_peak()
         field(x, u, v)
         _, peak = tracemalloc.get_traced_memory()
-        assert peak - held <= 10 * mib
+        assert peak - held <= 5 * mib
     finally:
         tracemalloc.stop()
 
