@@ -76,10 +76,13 @@ class VisualMeasure:
         g = rng.standard_normal((2, n, p))  # the draws of two normal(size=(n, p)) calls
         lifts = np.empty((n, p + 1), dtype=complex)
         lifts[:, p] = 1.0 / np.sqrt(2.0)
+        buf = np.empty((min(n, _BLOCK_ROWS), p), dtype=complex)
         for r in _row_blocks(n):
-            u = g[0, r] + 1j * g[1, r]
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            lifts[r, :p] = u / np.sqrt(2.0)
+            u = buf[: r.stop - r.start]
+            u.real, u.imag = g[0, r], g[1, r]
+            f = u.view(float)  # numpy divides by c + 0i as a * (1/c): scaling gives its bytes
+            f *= 1.0 / np.linalg.norm(u, axis=1, keepdims=True)
+            np.multiply(f, 1.0 / np.sqrt(2.0), out=lifts[r, :p].view(float))
         return lifts
 
     def sample_points(self, n, rng=None):
@@ -156,18 +159,10 @@ def _test_family(model, lifts):
     Projectively invariant: squared pairings of the sample against a few
     reference directions.
     """
-    refs = []
-    for k in range(min(3, model.dim)):
-        e = np.zeros(model.dim, dtype=complex)
-        e[k] = 1.0
-        refs.append(e)
-    mixed = np.ones(model.dim, dtype=complex) / np.sqrt(model.dim)
-    refs.append(mixed)
+    e = np.eye(model.dim, dtype=complex)
+    refs = [*e[:3], np.ones(model.dim, dtype=complex) / np.sqrt(model.dim)]
     nrm2 = np.sum(np.abs(lifts) ** 2, axis=1)
-    rows = []
-    for w in refs:
-        rows.append(np.abs(lifts @ np.conj(w)) ** 2 / nrm2)
-    return np.stack(rows, axis=0)  # (n_tests, N)
+    return np.stack([np.abs(lifts @ np.conj(w)) ** 2 / nrm2 for w in refs], axis=0)  # (n_tests, N)
 
 
 _BLOCK_ROWS = 65536  # the most rows of a sample stream that one pass holds

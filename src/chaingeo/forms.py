@@ -28,10 +28,11 @@ builds one when the field is made and keeps it, (n+1) * N * (p+1) complex
 lifts plus N cocycle values (about 30 MB at N = 200k and n = p = 2), while
 ``delta_form_eval`` builds one per call.  The build runs over equal row
 blocks (``busemann._row_blocks``) and peaks about 14 MB above what the
-stream holds.  An evaluation pairs each block of ``_EVAL_ROWS`` lifts with
-W = [x, the origin, the vectors] in one real matrix product on their real
-view, takes the weight as the Poisson kernel to the power p, and peaks
-about 3 MB above what the stream holds.
+stream holds.  An evaluation of K frames (points with tangent vectors)
+reads each block of ``_EVAL_ROWS`` lifts once, pairs it with W = [x, the
+vectors] of every frame in one real matrix product, and takes the weight
+as the Poisson kernel to the power p, with |<xi, O>|^2 a constant; it
+peaks about 2 MB (K = 1) and 12 MB (K = 6) above what the stream holds.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .busemann import VisualMeasure, _batch_stats, _poisson_power, _row_blocks
 from .chains import cartan_triple_lifts, chain_through, sample_chain_point
 from .hermitian import _form_diagonal, _herm, exp_map, tangent
 
-_EVAL_ROWS = 8192  # the rows of one evaluation block, whose pairings stay in cache
+_EVAL_ROWS = 4096  # the rows of one evaluation block, whose pairings stay in cache
 
 __all__ = [
     "BoundaryCocycle",
@@ -119,7 +120,7 @@ class _SampleStream:
     array, so every stream with the same (seed, n_samples) holds the same
     samples (the common-random-numbers contract).  The cocycle, with its
     sup-norm check, runs here, once per row block.  ``evaluate`` pairs the
-    stream with a point and tangent vectors, block by block.
+    stream with K frames in one pass over its blocks; a call, with one.
     """
 
     def __init__(self, model, entropy, c, n_samples, seed):
@@ -138,59 +139,75 @@ class _SampleStream:
         for r in _row_blocks(n_samples):
             self.values[r] = c(*(lifts[r] for lifts in self.lifts))
 
-    def evaluate(self, x, vectors):
+    def __call__(self, x, *vectors):
+        return self.evaluate([(x, vectors)])[0]
+
+    def evaluate(self, frames):
+        """One FormEvaluation per frame (x, vectors), reading each block of
+        the stream once for all the frames."""
         n = self.degree
-        if len(vectors) != n:
-            raise ValueError(f"degree-{n} form needs {n} tangent vectors")
-        if not x.is_interior:
-            raise ValueError("forms are evaluated at interior points")
-        for v in vectors:
-            if not v.base.same_point_as(x):
-                raise ValueError("tangent vectors must be based at x")
-        h, s, X = self.entropy.value, self.model.metric_scale, x.lift
+        for x, vectors in frames:
+            if len(vectors) != n:
+                raise ValueError(f"degree-{n} form needs {n} tangent vectors")
+            if not x.is_interior:
+                raise ValueError("forms are evaluated at interior points")
+            for v in vectors:
+                if not v.base.same_point_as(x):
+                    raise ValueError("tangent vectors must be based at x")
+        h, s, m = self.entropy.value, self.model.metric_scale, n + 1
         # the real view (Re xi_0, Im xi_0, Re xi_1, ...) of a lift dotted with
         # that of J W (J the form diagonal) is Re<xi, W>, with that of i J W
-        # Im<xi, W>: B's rows give Re<xi, W_k>, then Im<xi, W_k>, W = [X, O, V_1..V_n]
-        m = n + 2
-        W = np.stack([X, np.eye(len(X))[-1], *(v.components for v in vectors)])
-        B = np.concatenate([W, 1j * W]).view(float) * np.repeat(_form_diagonal(len(X)), 2)
-        neg_xx, v_x = -_herm(X, X).real, [_herm(v.components, X).real for v in vectors]
-        integrand = np.empty(self.n_samples)
+        # Im<xi, W>: B[k]'s rows give Re<xi, W_j>, then Im<xi, W_j>, with
+        # W = [X, V_1..V_n] of frame k (BLAS takes a block's contiguous
+        # transpose faster than its strided view, with the same bits)
+        W = np.array([[x.lift, *(v.components for v in vectors)] for x, vectors in frames])
+        B = np.concatenate([W, 1j * W], axis=1).view(float) * np.repeat(_form_diagonal(W.shape[2]), 2)
+        neg_xx = np.array([[-_herm(x.lift, x.lift).real] for x, _ in frames])
+        v_x = np.array([[_herm(v.components, x.lift).real for v in vectors] for x, vectors in frames])
+        r2 = 1.0 / np.sqrt(2.0)  # every sample's last coordinate: |<xi, O>|^2 = r2 * r2
+        integrand = np.empty((len(frames), self.n_samples))
         for r in _row_blocks(self.n_samples, rows=_EVAL_ROWS):
-            # the first array's weight needs only the X and O rows
-            re, im = (B[[0, 1, m, m + 1]] @ self.lifts[0][r].view(float).T).reshape(2, 2, -1)
-            block = self.values[r] * _poisson_power(
-                self.model, self.entropy, neg_xx, re[1] ** 2 + im[1] ** 2, re[0] ** 2 + im[0] ** 2)
             des = []
             for lifts in self.lifts[1:]:
                 # (de^xi)_x(v) = h s Re<v, U_xi> e^xi with U_xi the unit tangent
                 # at x toward xi, = h sqrt(s) e^xi Re(-<xi, v>/<xi, X> - <v, X>)
-                re, im = (B @ lifts[r].view(float).T).reshape(2, m, -1)
-                xi_x2 = re[0] ** 2 + im[0] ** 2
-                e = h * np.sqrt(s) * _poisson_power(
-                    self.model, self.entropy, neg_xx, re[1] ** 2 + im[1] ** 2, xi_x2)
-                des.append([e * (-(re[k] * re[0] + im[k] * im[0]) / xi_x2 - v_x[k - 2])
-                            for k in range(2, m)])
+                re, im = np.split(B @ np.ascontiguousarray(lifts[r].view(float).T), 2, axis=1)
+                xi_x2 = re[:, 0] ** 2 + im[:, 0] ** 2
+                e = h * np.sqrt(s) * _poisson_power(self.model, self.entropy, neg_xx, r2 * r2, xi_x2)
+                xi_x2 *= -1.0  # -|<xi, X>|^2
+                des.append([])
+                for j in range(1, m):
+                    d = re[:, j] * re[:, 0]
+                    d += im[:, j] * im[:, 0]
+                    d /= xi_x2
+                    d -= v_x[:, j - 1, None]
+                    d *= e
+                    des[-1].append(d)
+                del re, im  # one array's pairings at a time
+            # the first array's weight needs only the X rows
+            P = B[:, [0, m]] @ np.ascontiguousarray(self.lifts[0][r].view(float).T)
+            block = integrand[:, r]
+            np.multiply(self.values[r], _poisson_power(
+                self.model, self.entropy, neg_xx, r2 * r2, P[:, 0] ** 2 + P[:, 1] ** 2), out=block)
             if n == 1:
-                block = block * des[0][0]
+                block *= des[0][0]
             elif n == 2:
-                block = block * (des[0][0] * des[1][1] - des[0][1] * des[1][0])
-            integrand[r] = block
-        mean, stderr, batches = _batch_stats(integrand)
-        norms = 1.0
-        for v in vectors:
-            norms *= np.sqrt(s * _herm(v.components, v.components).real)
-        return FormEvaluation(
-            value=float(mean),
-            mc_stderr=float(stderr),
-            n_samples=self.n_samples,
-            seed=self.seed,
-            degree=n,
-            bound=float((h**n) * self.sup_norm_bound * norms),
-            base=x,
-            vectors=tuple(vectors),
-            batch_means=batches,
-        )
+                block *= des[0][0] * des[1][1] - des[0][1] * des[1][0]
+        return [
+            FormEvaluation(
+                value=float(mean),
+                mc_stderr=float(stderr),
+                n_samples=self.n_samples,
+                seed=self.seed,
+                degree=n,
+                bound=float((h**n) * self.sup_norm_bound
+                            * np.prod([np.sqrt(s * _herm(v.components, v.components).real) for v in vectors])),
+                base=x,
+                vectors=tuple(vectors),
+                batch_means=batches,
+            )
+            for (x, vectors), (mean, stderr, batches) in zip(frames, map(_batch_stats, integrand))
+        ]
 
 
 def delta_form_eval(model, entropy, c, x, vectors, n_samples=200_000, seed=0):
@@ -200,21 +217,22 @@ def delta_form_eval(model, entropy, c, x, vectors, n_samples=200_000, seed=0):
     Deterministic per (seed, n_samples); antisymmetric in the vectors by
     construction of the estimator.
     """
-    return _SampleStream(model, entropy, c, n_samples, seed).evaluate(x, vectors)
+    return _SampleStream(model, entropy, c, n_samples, seed)(x, *vectors)
 
 
 def delta_form_field(model, entropy, c, n_samples=200_000, seed=0):
-    """Closure ``field(x, *vectors)`` evaluating the form of c at arbitrary
+    """Callable ``field(x, *vectors)`` evaluating the form of c at arbitrary
     points on one sample stream (common random numbers across points).
 
     The stream is drawn, and the cocycle evaluated, once, here; the field
     holds (n+1) * n_samples * (p+1) complex lifts and n_samples cocycle
     values, about 30 MB at n_samples = 200k, n = p = 2, and building it
-    peaks about 14 MB above that.  Each call costs one real matrix product
-    per sample array and row block, and peaks about 3 MB above what is held.
+    peaks about 14 MB above that.  The field is the stream itself: a call
+    costs one real matrix product per sample array and row block and peaks
+    about 2 MB above what is held, and ``exterior_derivative_fd`` evaluates
+    its six frames in one pass over the stream.
     """
-    stream = _SampleStream(model, entropy, c, n_samples, seed)
-    return lambda x, *vectors: stream.evaluate(x, vectors)
+    return _SampleStream(model, entropy, c, n_samples, seed)
 
 
 class BoundaryMapHandle:
@@ -290,23 +308,25 @@ def exterior_derivative_fd(field_eval, model, x, u, v, w, step=1e-3):
     Returns (value, mc_stderr, fd_step).  When the field carries batch
     means (Monte-Carlo forms with common random numbers), the stderr is
     computed on batch-wise differences, which captures the strong
-    correlation between nearby evaluations.
+    correlation between nearby evaluations.  A ``delta_form_field`` gets
+    the six frames in one pass; any other callable is called per frame.
     """
     dirs = (u, v, w)
+    frames = []
+    for k in range(3):
+        others = [i for i in range(3) if i != k]
+        for t in (step, -step):
+            pos = [t if i == k else 0.0 for i in range(3)]
+            base, t1 = _chart_tangent(model, x, dirs, pos, others[0])
+            _, t2 = _chart_tangent(model, x, dirs, pos, others[1])
+            frames.append((base, (t1, t2)))
+    if isinstance(field_eval, _SampleStream):
+        evals = field_eval.evaluate(frames)
+    else:
+        evals = [field_eval(base, *vs) for base, vs in frames]
     terms = []
     term_batches = []
-    for k, sign in ((0, +1.0), (1, -1.0), (2, +1.0)):
-        others = [i for i in range(3) if i != k]
-        pos = [0.0, 0.0, 0.0]
-        pos[k] = step
-        neg = [0.0, 0.0, 0.0]
-        neg[k] = -step
-        bp, t1p = _chart_tangent(model, x, dirs, pos, others[0])
-        _, t2p = _chart_tangent(model, x, dirs, pos, others[1])
-        bm, t1m = _chart_tangent(model, x, dirs, neg, others[0])
-        _, t2m = _chart_tangent(model, x, dirs, neg, others[1])
-        fp = field_eval(bp, t1p, t2p)
-        fm = field_eval(bm, t1m, t2m)
+    for sign, fp, fm in zip((+1.0, -1.0, +1.0), evals[::2], evals[1::2]):
         if isinstance(fp, FormEvaluation):
             diff_b = (fp.batch_means - fm.batch_means) / (2.0 * step)
             terms.append(sign * float(diff_b.mean()))

@@ -295,8 +295,8 @@ def test_cocycle_rejects_non_finite_values(setup, rng):
             c(lifts, lifts, lifts)
 
 
-def _sine_cocycle(rng, arity):
-    refs = rng.normal(size=(arity, 3)) + 1j * rng.normal(size=(arity, 3))
+def _sine_cocycle(rng, arity, dim=3):
+    refs = rng.normal(size=(arity, dim)) + 1j * rng.normal(size=(arity, dim))
 
     def ev(*lifts):
         acc = sum(
@@ -455,8 +455,57 @@ def test_field_memory_above_what_it_holds(setup, rng):
         field(x, u, v)
         _, peak = tracemalloc.get_traced_memory()
         assert peak - held <= 5 * mib
+        # six frames in one pass hold their six integrands (9.2 MiB) and one
+        # block of pairings for all six; 8192-row blocks peaked at 14.3 MiB,
+        # above the build's 13.8 MiB
+        tracemalloc.reset_peak()
+        exterior_derivative_fd(field, model, x, u, v, random_tangent(model, rng, x))
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak - held <= 12 * mib
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_each_frame_gets_the_bytes_of_its_own_call(rng, degree, p):
+    # one pass over the stream for several frames gives each frame the
+    # bytes of a one-frame call; at 131 073 and 200 000 samples the blocks'
+    # row counts are not multiples of 16
+    model = HermitianModel(p)
+    ent = volume_entropy(model)
+    c = _sine_cocycle(rng, degree + 1, dim=p + 1)
+    for n_samples in (200_000, 131_073, 2_000):
+        field = delta_form_field(model, ent, c, n_samples=n_samples, seed=34)
+        frames = []
+        for _ in range(3):
+            x = random_interior(model, rng)
+            frames.append((x, [random_tangent(model, rng, x) for _ in range(degree)]))
+        for (x, vs), fe in zip(frames, field.evaluate(frames)):
+            one = field(x, *vs)
+            assert (fe.value, fe.mc_stderr, fe.bound) == (one.value, one.mc_stderr, one.bound)
+            assert fe.batch_means.tobytes() == one.batch_means.tobytes()
+
+
+def test_stencil_in_one_pass_gives_the_per_frame_bytes(setup, rng):
+    model, ent = setup
+    field = delta_form_field(model, ent, _pulled_back_angular_cocycle(), n_samples=N_MC, seed=35)
+    x = random_interior(model, rng, spread=0.3)
+    u, v, w = (random_tangent(model, rng, x) for _ in range(3))
+    one_pass = exterior_derivative_fd(field, model, x, u, v, w, step=1e-2)
+    per_frame = exterior_derivative_fd(lambda *a: field(*a), model, x, u, v, w, step=1e-2)
+    assert np.array(one_pass).tobytes() == np.array(per_frame).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stream_lifts_end_in_one_over_sqrt2(rng, p):
+    # the evaluation reads |<xi, O>|^2, O = e_{p+1}, as the constant
+    # (1/sqrt(2))^2 from this invariant of VisualMeasure.sample_lifts
+    model = HermitianModel(p)
+    c = _sine_cocycle(rng, 3, dim=p + 1)
+    field = delta_form_field(model, volume_entropy(model), c, n_samples=131_073, seed=36)
+    for lifts in field.lifts:
+        assert lifts[:, -1].tobytes() == np.full(131_073, 1.0 / np.sqrt(2.0) + 0j).tobytes()
 
 
 @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -1.0])
