@@ -12,8 +12,9 @@ in [-1, 1], and has |c| = 1 exactly on pairwise-distinct triples lying on
 one chain.  The sign is calibrated so the positively oriented triple
 (1, i, -1) on the unit circle of H^1_C gives +1.  The phase is the one
 ``hermitian._holonomy`` gives for the Kahler area (c is the area of the
-ideal triangle over pi); its rounding bound carries over, and values are
-clipped to [-1, 1], which rounding near a chain would otherwise leave.
+ideal triangle over pi); its rounding bound carries over, a triple gets
+the same bits alone as in a stack, and values are clipped to [-1, 1],
+which rounding near a chain would otherwise leave.
 """
 
 from __future__ import annotations

@@ -25,11 +25,15 @@ quadrature of the form over a cone filling.
 
 Only this module writes the form; other modules pair vectors through
 ``inner`` or ``_herm`` (last axis), ``_pairings`` (sample arrays) and
-``_gram`` (the Gram matrix A* J B of two sets of columns).
+``_gram`` (the Gram matrix A* J B of two sets of columns).  The holonomy
+kernel ``_holonomy`` pairs through ``_pairing`` in real arithmetic on
+coordinate columns, so a triple gets the same bits alone (on Python
+floats) as in a stack (on numpy rows).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +55,8 @@ __all__ = [
 
 # relative tolerance deciding interior vs boundary classification
 TOL_NULL = 1e-10
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -185,8 +191,12 @@ def _same_line(A, B, tol=1e-9):
 
     The distance is the norm of the phase-aligned difference of unit
     lifts, which stays accurate near zero (no sqrt(1 - cos^2)
-    cancellation).  Lifts with a vanishing pairing are never equal.
+    cancellation).  Lifts with a vanishing pairing are never equal.  One
+    pair (1-D lifts) is tested on Python floats, a stack on numpy arrays.
     """
+    if A.ndim == B.ndim == 1:
+        a, b = _parts(A), _parts(B)
+        return _same_line_parts(a, b, math.sqrt(_sq_norm(a)), math.sqrt(_sq_norm(b)), tol)
     nA = np.sqrt(np.vecdot(A, A).real)
     nB = np.sqrt(np.vecdot(B, B).real)
     ph = np.vecdot(B, A)  # <A, B> up to the norms
@@ -195,6 +205,30 @@ def _same_line(A, B, tol=1e-9):
     w = ph / (np.maximum(r, 1e-300) * nB)
     diff = A / nA[..., None] - B * w[..., None]
     return (r >= 1e-300 * nA * nB) & (np.sqrt(np.vecdot(diff, diff).real) < tol)
+
+
+def _same_line_parts(a, b, na, nb, tol):
+    """``_same_line`` on one pair, from the coordinate columns of two lifts
+    (see ``_parts``) and their norms."""
+    (ar, ai), (br, bi) = a, b
+    # the Euclidean pairing sum A_k conj(B_k)
+    re = im = 0.0
+    for k in range(len(ar)):
+        re += ar[k] * br[k] + ai[k] * bi[k]
+        im += ai[k] * br[k] - ar[k] * bi[k]
+    r = math.sqrt(re * re + im * im)
+    # a zero lift, like a NaN, is never equal (the stacked form divides by
+    # its norm and compares a NaN distance)
+    if not (na and nb and r >= 1e-300 * na * nb):
+        return False
+    s = max(r, 1e-300) * nb
+    wr, wi = re / s, im / s
+    d2 = 0.0
+    for k in range(len(ar)):
+        dr = ar[k] / na - (br[k] * wr - bi[k] * wi)
+        di = ai[k] / na - (br[k] * wi + bi[k] * wr)
+        d2 += dr * dr + di * di
+    return math.sqrt(d2) < tol
 
 
 @dataclass
@@ -349,6 +383,83 @@ def _norm(X):
     return np.sqrt(np.vecdot(X.real, X.real) + np.vecdot(X.imag, X.imag))
 
 
+# rows of a stack taken into the holonomy kernel at once; the real columns
+# of one chunk and their temporaries stay small on the 200k-row cocycle
+_HOLONOMY_ROWS = 2048
+
+
+def _parts(A):
+    """The coordinate columns (re, im) of one lift, as lists of floats."""
+    return A.real.tolist(), A.imag.tolist()
+
+
+def _columns(*stacks):
+    """The coordinate columns (re, im) of stacks of lifts (rows) placed end
+    to end, as the contiguous rows of two (dim, n) real arrays."""
+    return (
+        np.concatenate([A.real.T for A in stacks], axis=1),
+        np.concatenate([A.imag.T for A in stacks], axis=1),
+    )
+
+
+def _sq_norm(a):
+    """|A|^2 from the coordinate columns a = (re, im), summed left to right."""
+    ar, ai = a
+    s = ar[0] * ar[0] + ai[0] * ai[0]
+    for k in range(1, len(ar)):
+        s = s + (ar[k] * ar[k] + ai[k] * ai[k])
+    return s
+
+
+def _pairing(a, b):
+    """<A, B> as (real, imaginary) parts from the coordinate columns of A
+    and B: the coordinate products are summed left to right and the last
+    is subtracted.  A column is a float (one lift) or a numpy row (a
+    stack); both carriers make the same IEEE operations in the same order,
+    so they give the same bits."""
+    (ar, ai), (br, bi) = a, b
+    re = ar[0] * br[0] + ai[0] * bi[0]
+    im = ai[0] * br[0] - ar[0] * bi[0]
+    for k in range(1, len(ar) - 1):
+        re = re + (ar[k] * br[k] + ai[k] * bi[k])
+        im = im + (ai[k] * br[k] - ar[k] * bi[k])
+    return re - (ar[-1] * br[-1] + ai[-1] * bi[-1]), im - (ai[-1] * br[-1] - ar[-1] * bi[-1])
+
+
+def _fdiv(a, b):
+    """a / b on floats as numpy divides: a zero divisor gives inf for a
+    positive numerator and NaN otherwise, where Python would raise."""
+    return a / b if b else (math.inf if a > 0 else math.nan)
+
+
+def _ratio(h, na, nb, sqrt, div):
+    """|A| |B| / |<A,B>| from the pairing h = (re, im) and the norms."""
+    re, im = h
+    return div(na * nb, sqrt(re * re + im * im))
+
+
+def _phase_cond(hxy, hyz, hzx, rxy, ryz, rzx):
+    """The phase arg(-<X,Y><Y,Z><Z,X>), cond and the degeneracy flag from
+    the three pairings (re, im) and their ratios (see ``_holonomy``)."""
+    (xyr, xyi), (yzr, yzi), (zxr, zxi) = hxy, hyz, hzx
+    tr, ti = xyr * yzr - xyi * yzi, xyr * yzi + xyi * yzr
+    phase = np.arctan2(-(tr * zxi + ti * zxr), -(tr * zxr - ti * zxi))
+    return phase, 1.0 + (rxy + ryz + rzx), rxy * ryz * rzx > 1e12
+
+
+def _float_holonomy(cols, norms):
+    """The holonomy formula on one triple, from the coordinate lists of the
+    lifts X, Y, Z and their norms."""
+    (x, y, z), (nx, ny, nz) = cols, norms
+    hxy, hyz, hzx = _pairing(x, y), _pairing(y, z), _pairing(z, x)
+    return _phase_cond(
+        hxy, hyz, hzx,
+        _ratio(hxy, nx, ny, math.sqrt, _fdiv),
+        _ratio(hyz, ny, nz, math.sqrt, _fdiv),
+        _ratio(hzx, nz, nx, math.sqrt, _fdiv),
+    )
+
+
 def _holonomy(X, Y, Z):
     """Phase arg(-<X,Y><Y,Z><Z,X>) of the lifts X, Y, Z (last axis), its
     rounding condition number and the degeneracy flag.
@@ -361,22 +472,38 @@ def _holonomy(X, Y, Z):
     triple product is below 1e-12 |X|^2 |Y|^2 |Z|^2, so the flag, like the
     phase, does not depend on the lifts chosen.  A zero pairing gives an
     infinite ratio and a degenerate triple.
+
+    The formula is real arithmetic on coordinate columns: on Python floats
+    for one triple (1-D lifts), and on the contiguous real rows of
+    ``_HOLONOMY_ROWS``-row chunks for a stack, where the three pairings are
+    one call on the columns of (X, Y, Z) against those of (Y, Z, X) placed
+    end to end.  Moduli and norms are sums of squares under a correctly
+    rounded square root, the phase is one ``np.arctan2``, and every
+    operation is elementwise IEEE arithmetic, so a triple gets the same
+    bits alone, in a (1, dim) stack or in any row of a larger one.
     """
-    # at most two pairings are held at once, which bounds the peak on large
-    # stacks; builtin abs keeps the scalar modulus on one triple, whose
-    # bits np.abs would change
-    hxy, hyz = _herm(X, Y), _herm(Y, Z)
-    mxy, myz = abs(hxy), abs(hyz)
-    t = hxy * hyz
-    del hxy, hyz
-    hzx = _herm(Z, X)
-    mzx = abs(hzx)
-    phase = np.angle(-(t * hzx))
-    del t, hzx
-    nx, ny, nz = _norm(X), _norm(Y), _norm(Z)
+    if X.ndim == Y.ndim == Z.ndim == 1:
+        cols = [_parts(A) for A in (X, Y, Z)]
+        return _float_holonomy(cols, [math.sqrt(_sq_norm(c)) for c in cols])
+    X, Y, Z = np.broadcast_arrays(X, Y, Z)
+    shape = X.shape[:-1]
+    X, Y, Z = (A.reshape(-1, A.shape[-1]) for A in (X, Y, Z))
+    phase, cond = np.empty(len(X)), np.empty(len(X))
+    degenerate = np.empty(len(X), dtype=bool)
     with np.errstate(divide="ignore"):
-        rxy, ryz, rzx = nx * ny / mxy, ny * nz / myz, nz * nx / mzx
-    return phase, 1.0 + (rxy + ryz + rzx), rxy * ryz * rzx > 1e12
+        for s in range(0, len(X), _HOLONOMY_ROWS):
+            rows = slice(s, s + _HOLONOMY_ROWS)
+            x, y, z = X[rows], Y[rows], Z[rows]
+            m = len(x)
+            a = _columns(x, y, z)
+            na = np.sqrt(_sq_norm(a))
+            h = _pairing(a, _columns(y, z, x))
+            r = _ratio(h, na, np.concatenate([na[m:], na[:m]]), np.sqrt, np.divide)
+            thirds = (slice(0, m), slice(m, 2 * m), slice(2 * m, None))
+            phase[rows], cond[rows], degenerate[rows] = _phase_cond(
+                *((h[0][t], h[1][t]) for t in thirds), *(r[t] for t in thirds)
+            )
+    return phase.reshape(shape), cond.reshape(shape), degenerate.reshape(shape)
 
 
 def triangle_area(model, x, y, z, tol=1e-6):
@@ -391,21 +518,27 @@ def triangle_area(model, x, y, z, tol=1e-6):
     It is alternating in the arguments and bounded by pi in absolute value
     for metric_scale = 4.  Degenerate triples (two projectively equal
     points) return 0 with the ``degenerate`` flag set.  The phase and its
-    condition number come from ``_holonomy``, the kernel that also gives
-    the angular invariant, and ``err_estimate`` is the rounding bound
+    condition number come from the formula of ``_holonomy`` on Python
+    floats, the kernel that also gives the angular invariant, and
+    ``err_estimate`` is the rounding bound
     (metric_scale / 2) * (dim + 2) * eps * cond stated there.
 
     ``tol`` is the accuracy the caller needs: a ``ValueError`` is raised
     when the rounding bound ``err_estimate`` exceeds it or is NaN, as when
     two ideal vertices nearly coincide and their pairing loses its phase.
     """
-    for a, b in ((x, y), (y, z), (z, x)):
-        if a.kind == b.kind and a.same_point_as(b):
+    pts = (x, y, z)
+    # the columns and norms of the lifts serve the same-point tests and the
+    # holonomy formula
+    cols = [_parts(v.lift) for v in pts]
+    norms = [math.sqrt(_sq_norm(c)) for c in cols]
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        if pts[i].kind == pts[j].kind and _same_line_parts(cols[i], cols[j], norms[i], norms[j], 1e-9):
             return TriangleArea(0.0, 0.0, degenerate=True)
-    phase, cond, _ = _holonomy(x.lift, y.lift, z.lift)
+    phase, cond, _ = _float_holonomy(cols, norms)
     half = model.metric_scale / 2.0
     value = half * float(phase)
-    err = float(half * (model.dim + 2) * np.finfo(float).eps * cond)
+    err = half * (model.dim + 2) * _EPS * cond
     if not err <= tol:
         raise ValueError(
             f"area rounding bound {err:.2e} exceeds tol {tol:.2e}: "

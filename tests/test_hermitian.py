@@ -18,7 +18,7 @@ from chaingeo import (
     triangle_area,
     unit_tangent_toward,
 )
-from chaingeo.hermitian import _gram, _herm, _pairings
+from chaingeo.hermitian import _gram, _herm, _pairings, _same_line
 from chaingeo.isometries import apply_isometry, random_isometry
 
 from conftest import random_boundary, random_interior, random_tangent
@@ -63,6 +63,32 @@ def test_inner_hermitian_symmetry(seed):
     loop = [[_herm(B[:, j], A[:, i]) for j in range(4)] for i in range(2)]
     for gram in (_gram(A, B), _pairings(B.T, A.T).T):
         assert_allclose(gram, loop, rtol=0, atol=1e-14 * np.abs(A).max() * np.abs(B).max())
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_same_line_one_pair_matches_stack(p, rng):
+    """The one-pair test on floats decides as the stacked test does: on
+    random pairs, phase-turned copies, pairs 1e-7 and 1e-11 apart, and
+    pairs with a zero pairing."""
+    d, n = p + 1, 200
+    A = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    step = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    step *= np.linalg.norm(A, axis=1, keepdims=True) / np.linalg.norm(step, axis=1, keepdims=True)
+    orth = step - (np.vecdot(A, step) / np.vecdot(A, A))[:, None] * A  # sum A_k conj(orth_k) = 0
+    cases = {
+        "random": (rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)), False),
+        "turned": (A * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n, 1))) * rng.uniform(0.1, 10, size=(n, 1)), True),
+        "1e-7": (A + 1e-7 * step, False),
+        "1e-11": (A + 1e-11 * step, True),
+        "zero pairing": (orth, False),
+    }
+    for name, (B, expected) in cases.items():
+        stacked = _same_line(A, B)
+        assert (stacked == expected).all(), name
+        assert [_same_line(a, b) for a, b in zip(A, B)] == stacked.tolist(), name
+    # coordinate axes pair to exactly zero
+    e = np.eye(d, dtype=complex)
+    assert not _same_line(e[0], e[-1]) and not _same_line(e[:1], e[-1:])[0]
 
 
 def test_projpoint_classification(disc):

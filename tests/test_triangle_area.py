@@ -2,12 +2,14 @@
 holonomy kernel shared with the angular invariant, the rounding bound and
 its tolerance gate, and the cocycle properties."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaingeo import HermitianModel, ProjPoint, TriangleArea, hermitian, inner, triangle_area, verify
+from chaingeo import HermitianModel, ProjPoint, TriangleArea, chains, hermitian, inner, triangle_area, verify
 from chaingeo.busemann import VisualMeasure
 from chaingeo.chains import chain_through, sample_chain_point
 from chaingeo.isometries import apply_isometry, random_isometry
@@ -105,7 +107,10 @@ def _degenerate_triangles(rng):
     return out
 
 
-def test_kernel_matches_reference_bit_for_bit(rng):
+def test_kernel_matches_complex_reference(rng):
+    """The real-arithmetic kernel against the complex pairings of
+    ``inner``: the same value within the rounding bound, the same bound to
+    rounding, and the same degenerate triangles."""
     triangles = (
         _pattern_triangles(rng, per_pattern=5)
         + _crit03_triangles()
@@ -113,8 +118,10 @@ def test_kernel_matches_reference_bit_for_bit(rng):
         + _degenerate_triangles(rng)
     )
     for model, pts in triangles:
-        # TriangleArea equality compares value, err_estimate and degenerate
-        assert triangle_area(model, *pts) == _reference_area(model, *pts)
+        res, ref = triangle_area(model, *pts), _reference_area(model, *pts)
+        assert res.degenerate == ref.degenerate
+        assert abs(res.value - ref.value) <= res.err_estimate
+        assert abs(res.err_estimate - ref.err_estimate) <= 1e-12 * ref.err_estimate
     assert sum(triangle_area(model, *pts).degenerate for model, pts in triangles) == 9
 
 
@@ -122,11 +129,11 @@ def test_kernel_pairs_each_pair_once(monkeypatch, rng):
     triangles = _pattern_triangles(rng, per_pattern=1)
     calls = []
 
-    def counted(X, Y, herm=hermitian._herm):
+    def counted(a, b, pairing=hermitian._pairing):
         calls.append(1)
-        return herm(X, Y)
+        return pairing(a, b)
 
-    monkeypatch.setattr(hermitian, "_herm", counted)
+    monkeypatch.setattr(hermitian, "_pairing", counted)
     for model, pts in triangles:
         triangle_area(model, *pts)
     assert len(calls) == 3 * len(triangles)
@@ -144,29 +151,32 @@ def test_norm_matches_linalg_norm_bit_for_bit(d, rng):
     assert all(hermitian._norm(a) == r for a, r in zip(A[:50], ref))
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_holonomy_stack_matches_row_calls(p, rng):
-    """The kernel gives the same bytes on a stack as on each of its rows,
-    degenerate rows included, so a stream cut into blocks reads the same.
-    A 1-D call, the path of ``triangle_area``, takes numpy's scalar complex
-    product and modulus, which can differ in the last bit from the array
-    loops: it gets the same flag, and its phase agrees within the rounding
-    bound."""
+    """The kernel gives the same bytes of phase, cond and flag on one triple
+    (1-D lifts, the path of ``triangle_area``), on a (1, dim) stack and on
+    any row of a stack longer than one chunk, however the stack is cut,
+    zero-pairing and near-degenerate rows included."""
     model = HermitianModel(p)
-    eps = np.finfo(float).eps
-    X, Y, Z = VisualMeasure(model).sample_lifts(600, rng=rng).reshape(3, 200, model.dim)
-    Y[:10] = X[:10]  # a null lift pairs to zero with itself
+    n = hermitian._HOLONOMY_ROWS + 300
+    X, Y, Z = VisualMeasure(model).sample_lifts(3 * n, rng=rng).reshape(3, n, model.dim)
+    X[:5] = Y[:5] = np.eye(model.dim)[0] + np.eye(model.dim)[-1]  # <X, Y> = 0 exactly
+    Y[5:10] = X[5:10]  # a null lift pairs to zero with itself, up to rounding
     Z[10:20] = 1e-7 * X[10:20] + Y[10:20] * np.exp(1.3j)
     phase, cond, degenerate = hermitian._holonomy(X, Y, Z)
+    assert np.isinf(cond[:5]).all()
     assert degenerate[:10].all() and not degenerate[20:].any()
-    for i in range(len(X)):
-        row = hermitian._holonomy(X[i : i + 1], Y[i : i + 1], Z[i : i + 1])
-        assert (row[0][0], row[1][0], row[2][0]) == (phase[i], cond[i], degenerate[i])
+
+    def same(got, i):
+        return [np.asarray(v).tobytes() for v in got] == [v[i].tobytes() for v in (phase, cond, degenerate)]
+
+    for i in range(n):
         ph, c, deg = hermitian._holonomy(X[i], Y[i], Z[i])
-        assert deg == degenerate[i]
-        if not deg:
-            assert abs(c - cond[i]) <= 4 * eps * c
-            assert abs(ph - phase[i]) <= (model.dim + 2) * eps * c
+        assert same([np.float64(ph), np.float64(c), np.bool_(deg)], i)
+    for i in [*range(40), *range(n - 40, n)]:
+        assert same(hermitian._holonomy(X[i : i + 1], Y[i : i + 1], Z[i : i + 1]), slice(i, i + 1))
+    # a stack cut elsewhere puts other rows on the chunk boundaries
+    assert same(hermitian._holonomy(X[777:], Y[777:], Z[777:]), slice(777, None))
 
 
 def test_nan_lift_raises_at_the_area_gate(rng):
@@ -180,10 +190,11 @@ def test_nan_lift_raises_at_the_area_gate(rng):
 
 def _near_ideal_pair(model, rng, sep):
     """Two ideal points `sep` apart along the unit sphere, in a direction
-    orthogonal to the first point (their pairing is about sep^2 / 4)."""
+    orthogonal to the first point (their pairing is about sep^2 / 4).  At
+    p = 1 the direction is i times the point, and the pairing about sep / 2."""
     u = random_boundary(model, rng).lift[:-1] * np.sqrt(2)
     w = rng.normal(size=model.p) + 1j * rng.normal(size=model.p)
-    w -= np.vdot(u, w) * u
+    w = 1j * u if model.p == 1 else w - np.vdot(u, w) * u
     w /= np.linalg.norm(w)
     a, b = (np.append(v, 1.0) / np.sqrt(2) for v in (u, np.cos(sep) * u + np.sin(sep) * w))
     return ProjPoint(a, model=model, kind="boundary"), ProjPoint(b, model=model, kind="boundary")
@@ -228,6 +239,56 @@ def test_err_estimate_small_on_random_triangles(rng):
         res = triangle_area(model, *pts, tol=1e-8)
         assert res.err_estimate <= 1e-12
         assert abs(res.value - _long_double_area(model, pts)) <= res.err_estimate
+
+
+def _exact_phase(X, Y, Z):
+    """arg(-<X,Y><Y,Z><Z,X>) from the exact triple product of the float
+    lifts in rational arithmetic, rounded once into ``np.arctan2``."""
+    x, y, z = ([(Fraction(v.real), Fraction(v.imag)) for v in V] for V in (X, Y, Z))
+
+    def herm(a, b):
+        re = sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(a[:-1], b[:-1]))
+        im = sum(ai * br - ar * bi for (ar, ai), (br, bi) in zip(a[:-1], b[:-1]))
+        (ar, ai), (br, bi) = a[-1], b[-1]
+        return re - (ar * br + ai * bi), im - (ai * br - ar * bi)
+
+    def mul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    tr, ti = mul(mul(herm(x, y), herm(y, z)), herm(z, x))
+    return float(np.arctan2(float(-ti), float(-tr)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_phase_within_bounds_of_exact_oracle(p, rng):
+    """``triangle_area`` and ``_cartan_flagged`` stay within their rounding
+    bounds of the exact triple product, on random triangles of every
+    interior/ideal pattern and on near-coincident ideal pairs 1e-1 to 1e-8
+    apart."""
+    model = HermitianModel(p)
+    triangles = [
+        [random_boundary(model, rng) if pattern >> bit & 1 else random_interior(model, rng) for bit in range(3)]
+        for pattern in range(8)
+        for _ in range(20)
+    ]
+    for k, sep in enumerate(10.0 ** -np.arange(1, 9)):
+        for j in range(10):
+            x, y = _near_ideal_pair(model, rng, sep)
+            triangles.append([x, y, random_boundary(model, rng) if (j + k) % 2 else random_interior(model, rng)])
+    exact = np.array([_exact_phase(*(v.lift for v in pts)) for pts in triangles])
+    period = np.pi * model.metric_scale  # a full turn of the phase
+    for pts, phase in zip(triangles, exact):
+        res = triangle_area(model, *pts, tol=np.inf)
+        assert not res.degenerate
+        gap = (res.value - model.metric_scale / 2.0 * phase) % period
+        assert min(gap, period - gap) <= res.err_estimate
+    ideal = np.array([all(v.is_boundary for v in pts) for pts in triangles])
+    assert ideal.sum() >= 50
+    lifts = (np.array([pts[i].lift for pts, b in zip(triangles, ideal) if b]) for i in range(3))
+    c, err, degenerate = chains._cartan_flagged(*lifts)
+    ref = np.clip(2.0 / np.pi * exact[ideal], -1.0, 1.0)
+    assert (np.abs(c - ref) <= err)[~degenerate].all()
+    assert (~degenerate).sum() >= 40
 
 
 def test_nan_area_fails_area_cartan(monkeypatch):
