@@ -21,7 +21,6 @@ from .chains import (
     cartan_invariant_flagged,
     chain_contains,
     chain_through,
-    heisenberg_projection,
     sample_chain_point,
 )
 from .forms import (
@@ -52,10 +51,7 @@ from .isometries import (
     EmbeddingMap,
     Isometry,
     apply_isometry,
-    apply_tangent,
-    classify,
     random_isometry,
-    rotation_about_origin,
     standard_embedding,
     translation_along_axis,
 )
@@ -69,8 +65,6 @@ from .projective import (
     cross_ratio,
     fit_affine,
     harmonic_conjugate,
-    inversion,
-    weakly_order_preserving_check,
 )
 from .reconstruction import (
     BoundarySampleMap,
@@ -84,7 +78,6 @@ from .toledo import (
     ToledoResult,
     conjugate_rep,
     fuchsian_genus2_rep,
-    homogeneous_cocycle,
     milnor_wood_check,
     toledo_surface_group,
 )

@@ -159,7 +159,7 @@ def _cmd_toledo(args):
     target = HermitianModel(args.target_q)
     emb = standard_embedding(1, args.target_q)
     res = toledo_surface_group(target, rep, emb, tol=args.tolerance)
-    ok, margin = milnor_wood_check(res, 1, 1)
+    ok, margin = milnor_wood_check(res)
     _emit(
         {
             "command": "toledo",
@@ -254,6 +254,8 @@ def _cmd_reconstruct(args):
 def _cmd_finite_model(args):
     if args.table:
         data = _load_json(args.table)
+        if not isinstance(data["mul"], list):
+            raise ValueError(f"{args.table}: 'mul' must be a list of table rows")
         model = fm.FiniteGroupModel(
             elements=list(range(len(data["mul"]))),
             mul_table=data["mul"],
@@ -275,7 +277,7 @@ def _cmd_finite_model(args):
         verdicts.append({"check": "psi properties (1)(2)(3)", "ok": True})
     except ValueError as exc:
         verdicts.append({"check": "psi properties (1)(2)(3)", "ok": False, "detail": str(exc)})
-        _emit({"command": "finite-model", "preset": args.preset, "verdicts": verdicts}, args.out)
+        _emit({"command": "finite-model", "preset": model.name, "verdicts": verdicts}, args.out)
         return 2
     rng = np.random.default_rng(_default_seed(args))
     # every check runs, so each draws its function from rng
@@ -288,7 +290,7 @@ def _cmd_finite_model(args):
     verdicts.append({"check": "fibered counting n<=3", "ok": ok_count})
     payload = {
         "command": "finite-model",
-        "preset": args.preset,
+        "preset": model.name,
         "order": model.n,
         "verdicts": verdicts,
         "seed": _default_seed(args),

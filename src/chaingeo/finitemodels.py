@@ -98,24 +98,24 @@ class FiniteGroupModel:
 
     Multiplication, inverses, and coset actions are integer tables; all
     group axioms and the containment Q <= H are verified on construction.
+    The table and the subgroups must hold element indices, integers in
+    range(|G|); anything else raises ValueError.
     """
 
-    def __init__(self, elements, mul_table, H, Q, L=None, name=""):
+    def __init__(self, elements, mul_table, H, Q, name=""):
         self.name = name
         self.n = len(elements)
         if self.n > MAX_GROUP_ORDER:
             raise ValueError("group order exceeds the enforced bound")
         self.elements = elements
-        self.mul = np.asarray(mul_table, dtype=int)
+        self.mul = np.asarray(mul_table)
         if self.mul.shape != (self.n, self.n):
             raise ValueError("multiplication table must be |G| x |G|")
+        if self.mul.dtype.kind not in "iu" or not np.all((0 <= self.mul) & (self.mul < self.n)):
+            raise ValueError(f"multiplication table entries must be integers in range({self.n})")
         self._verify_axioms()
-        self.H = frozenset(int(h) for h in H)
-        self.Q = frozenset(int(q) for q in Q)
-        self.L = frozenset(int(l) for l in L) if L is not None else None
-        for sub, label in ((self.H, "H"), (self.Q, "Q"), (self.L, "L")):
-            if sub is not None:
-                self._verify_subgroup(sub, label)
+        self.H = self._subgroup(H, "H")
+        self.Q = self._subgroup(Q, "Q")
         if not self.Q <= self.H:
             raise ValueError("Q must be contained in H")
         # left cosets of Q in G, indexed; representative = min element index
@@ -153,6 +153,17 @@ class FiniteGroupModel:
         for a, b, c in triples:
             if self.mul[self.mul[a, b], c] != self.mul[a, self.mul[b, c]]:
                 raise ValueError("multiplication table is not associative")
+
+    def _subgroup(self, sub, label):
+        """The subgroup whose element indices ``sub`` lists, as a frozenset."""
+        if not isinstance(sub, (list, tuple, set, frozenset)) or not all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < self.n
+            for x in sub
+        ):
+            raise ValueError(f"{label} must list integers in range({self.n})")
+        sub = frozenset(int(x) for x in sub)
+        self._verify_subgroup(sub, label)
+        return sub
 
     def _verify_subgroup(self, sub, label):
         if self.identity not in sub:

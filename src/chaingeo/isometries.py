@@ -1,4 +1,4 @@
-"""Elements of U(p,1)/PU(p,1): action, classification, embeddings, sampling.
+"""Elements of U(p,1)/PU(p,1): action, embeddings, sampling.
 
 Matrices are stored up to a positive scalar (the form is preserved up to
 lambda > 0), so no determinant normalization is enforced; projective
@@ -11,21 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermitianModel, ProjPoint, TangentVector, _gram, _herm
+from .hermitian import HermitianModel, ProjPoint, _gram
 
 __all__ = [
     "Isometry",
     "EmbeddingMap",
     "apply_isometry",
-    "apply_tangent",
-    "classify",
     "standard_embedding",
     "random_isometry",
-    "rotation_about_origin",
     "translation_along_axis",
 ]
-
-TOL_CLS = 1e-8  # eigenvalue-modulus spread threshold for hyperbolicity
 
 
 @dataclass(frozen=True)
@@ -145,59 +140,6 @@ def apply_isometry(g, x):
     return ProjPoint(g.matrix @ x.lift, model=x.model, kind=x.kind)
 
 
-def apply_tangent(g, model, v):
-    """Pushforward of a tangent vector by an isometry.
-
-    The image components are re-expressed at the canonical lift of the
-    image base point, so g-norms are preserved exactly.
-    """
-    X = v.base.lift
-    lam = g.form_scale()
-    MX = g.matrix @ X
-    Mv = g.matrix @ v.components
-    # canonical lift of the image divides by sqrt(lam) and a phase; tangent
-    # components must follow the same rescaling
-    Y = MX / np.sqrt(lam)
-    last = Y[-1]
-    phase = np.conj(last) / abs(last)
-    base = ProjPoint(MX, model=model, kind="interior")
-    return TangentVector(base, Mv / np.sqrt(lam) * phase)
-
-
-def classify(g):
-    """Coarse dynamical type: 'elliptic' | 'parabolic' | 'hyperbolic'.
-
-    Hyperbolic iff the eigenvalue modulus spread exceeds 1 + TOL_CLS and
-    the extreme-modulus eigenvectors are two separated boundary fixed
-    points; elliptic iff a negative-type eigenvector exists (interior
-    fixed point); parabolic when the whole eigenvector structure collapses
-    onto a single null direction.  Near-threshold spectra -- tiny spread
-    with separated null fixed points, or a marginal spread -- come back
-    'indeterminate' rather than misclassified: defective spectra of true
-    parabolics split by about sqrt(eps) in floating point, so the spread
-    alone cannot be trusted there.
-    """
-    m = g.matrix / np.sqrt(g.form_scale())
-    vals, vecs = np.linalg.eig(m)
-    mods = np.abs(vals)
-    spread = mods.max() / mods.min()
-    qs = _herm(vecs.T, vecs.T).real  # the form on each eigenvector
-    # projective separation of the extreme-modulus eigenvectors
-    v_hi = vecs[:, int(np.argmax(mods))]
-    v_lo = vecs[:, int(np.argmin(mods))]
-    ip = abs(np.vdot(v_hi, v_lo)) / (np.linalg.norm(v_hi) * np.linalg.norm(v_lo))
-    separation = np.sqrt(max(0.0, 1.0 - ip**2))
-    if qs.min() < -1e-6 and spread < 1.0 + TOL_CLS:
-        return "elliptic"
-    if spread > 1.0 + TOL_CLS and separation > 1e-3:
-        return "hyperbolic"
-    # defective spectra: a 3-step unipotent splits its eigenvalues by about
-    # eps^(1/3), so parabolic detection must tolerate that much blur
-    if np.all(np.abs(qs) <= 1e-4) and spread <= 1.0 + 1e-4 and separation <= 1e-2:
-        return "parabolic"
-    return "indeterminate"
-
-
 def standard_embedding(p, q):
     """The block embedding (z_1..z_p, w) -> (z_1..z_p, 0..0, w); scale 1."""
     if q < p:
@@ -223,13 +165,6 @@ def random_isometry(p, seed, sigma=1.0):
     J = HermitianModel(p).form_diagonal
     A = 0.5 * (A - J[:, None] * A.conj().T * J)  # minus the form adjoint J A* J
     return Isometry(_eig_function(A, np.exp), p)
-
-
-def rotation_about_origin(p, thetas):
-    """Unitary diag(e^{i theta_1}, .., e^{i theta_p}, 1): fixes the origin."""
-    d = np.ones(p + 1, dtype=complex)
-    d[:p] = np.exp(1j * np.asarray(thetas, dtype=float))
-    return Isometry(np.diag(d), p)
 
 
 def translation_along_axis(p, length, axis=0):

@@ -1,5 +1,5 @@
 """Cross-ratio machinery in the plane: harmonic conjugates, the complete
-quadrilateral, inversions, affine recovery, and cyclic-order predicates.
+quadrilateral, and affine recovery.
 
 Two arithmetic backends coexist.  Floating point serves the statistical
 recovery operations; exact Gaussian rationals (QQi) serve the constructive
@@ -24,9 +24,7 @@ __all__ = [
     "cross_ratio",
     "harmonic_conjugate",
     "complete_quadrilateral",
-    "inversion",
     "fit_affine",
-    "weakly_order_preserving_check",
 ]
 
 
@@ -89,9 +87,6 @@ class QQi:
 
     def __hash__(self):
         return hash((self.re, self.im))
-
-    def conjugate(self):
-        return QQi(self.re, -self.im)
 
     def is_zero(self):
         return self.re == 0 and self.im == 0
@@ -269,22 +264,6 @@ def complete_quadrilateral(cfg):
     return D
 
 
-def inversion(center, radius, z):
-    """Inversion through the circle |w - center| = radius.
-
-    An involution; maps circles and lines to circles and lines.  The
-    radius enters squared, so exact arithmetic needs rational radius^2.
-    """
-    w = z - center
-    if _is_zero(w):
-        raise ValueError("inversion is undefined at its center")
-    r2 = radius * radius
-    if isinstance(w, QQi):
-        # 1/conj(w) = w / (w conj(w))
-        return center + w / (w * w.conjugate()) * r2
-    return center + r2 / np.conj(w)
-
-
 def fit_affine(samples):
     """Least-squares complex-affine fit w = lam*z + c to (z, w) samples.
 
@@ -335,40 +314,3 @@ def fit_affine(samples):
     }
     return lam, c, diagnostics
 
-
-def weakly_order_preserving_check(samples):
-    """Cyclic-order predicate for a sampled circle self-map.
-
-    ``samples`` are (xi, f(xi)) pairs of complex numbers on circles.  True
-    iff every sampled triple of distinct points with distinct images has
-    the same cyclic orientation as its image; triples with collapsed
-    images are skipped.  Returns (ok, witness) where the witness is a
-    violating index triple or None.
-    """
-    pts = [complex(z) for z, _ in samples]
-    img = [complex(w) for _, w in samples]
-    n = len(pts)
-
-    def orient(a, b, c):
-        return np.sign(np.imag(np.conj(b - a) * (c - a)))
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if (
-                    _is_zero(pts[i] - pts[j])
-                    or _is_zero(pts[j] - pts[k])
-                    or _is_zero(pts[i] - pts[k])
-                ):
-                    continue
-                if (
-                    _is_zero(img[i] - img[j])
-                    or _is_zero(img[j] - img[k])
-                    or _is_zero(img[i] - img[k])
-                ):
-                    continue
-                s1 = orient(pts[i], pts[j], pts[k])
-                s2 = orient(img[i], img[j], img[k])
-                if s1 != 0 and s2 != 0 and s1 != s2:
-                    return False, (i, j, k)
-    return True, None

@@ -1,11 +1,12 @@
 """Toledo invariant of surface-group representations into PU(q,1).
 
 The invariant of a genus-g representation is the normalized Kahler area of
-a fundamental polygon: the canonical 4g-gon is triangulated by coning from
-one vertex, each triangle's area is the homogeneous cocycle evaluated on
-the corresponding word prefixes, and the sum is divided by 2 pi (2g - 2).
-With this normalization Fuchsian representations of the disc give +1 and
-the Milnor-Wood bound reads |i_rho| <= rk(target)/rk(source).
+a fundamental polygon: the canonical 4g-gon, whose vertices are the images
+of a basepoint under the word prefixes, is triangulated by coning from one
+vertex, and the sum of the triangles' areas is divided by 2 pi (2g - 2).
+With this normalization Fuchsian representations of the disc give +1, and
+since every group here has rank one the Milnor-Wood bound reads
+|i_rho| <= 1.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .isometries import Isometry, apply_isometry
 __all__ = [
     "SurfaceGroupRep",
     "ToledoResult",
-    "homogeneous_cocycle",
     "toledo_surface_group",
     "milnor_wood_check",
     "fuchsian_genus2_rep",
@@ -84,16 +84,6 @@ class ToledoResult:
         return self.value
 
 
-def homogeneous_cocycle(model, g1, g2, g3, basept, tol=1e-6):
-    """Kahler area of the geodesic triangle on the orbit of a basepoint.
-
-    Invariant under simultaneous left translation and bounded by pi (rank
-    one, curvature normalization).
-    """
-    pts = [apply_isometry(g, basept) for g in (g1, g2, g3)]
-    return triangle_area(model, *pts, tol=tol)
-
-
 def toledo_surface_group(target_model, rep, embedding, basept=None, tol=1e-6):
     """Toledo invariant of a surface-group representation.
 
@@ -134,12 +124,10 @@ def toledo_surface_group(target_model, rep, embedding, basept=None, tol=1e-6):
     )
 
 
-def milnor_wood_check(result, rk_source=1, rk_target=1):
-    """Milnor-Wood bound |i_rho| <= rk'/rk; returns (ok, margin)."""
-    if rk_source < 1 or rk_target < 1:
-        raise ValueError("ranks must be >= 1")
-    bound = rk_target / rk_source
-    margin = bound - abs(result.value)
+def milnor_wood_check(result):
+    """Milnor-Wood bound |i_rho| <= rk(target)/rk(source) = 1 between the
+    rank-one groups PU(1,1) and PU(q,1); returns (ok, margin)."""
+    margin = 1.0 - abs(result.value)
     return margin + result.err_bound >= 0.0, margin
 
 

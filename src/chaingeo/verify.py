@@ -34,8 +34,8 @@ from .forms import (
     delta_form_field,
     exterior_derivative_fd,
 )
-from .hermitian import HermitianModel, ProjPoint, tangent, triangle_area
-from .isometries import random_isometry, standard_embedding
+from .hermitian import HermitianModel, ProjPoint, metric_and_kahler, tangent, triangle_area
+from .isometries import Isometry, random_isometry, standard_embedding, translation_along_axis
 from .projective import (
     AffLine,
     QQi,
@@ -58,7 +58,6 @@ from .toledo import (
     milnor_wood_check,
     toledo_surface_group,
 )
-from .isometries import Isometry
 
 __all__ = ["ALL_CRITERIA"]
 
@@ -69,15 +68,12 @@ def _random_interior(model, rng, spread=0.8):
     return ProjPoint(np.concatenate([u, [1.0 + 0j]]), model=model, kind="interior")
 
 
-def _random_tangent(model, rng, x, unit=True):
+def _random_tangent(model, rng, x):
+    """A random unit tangent vector at x."""
     raw = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
     v = tangent(model, x, raw)
-    if unit:
-        from .hermitian import metric_and_kahler
-
-        g, _ = metric_and_kahler(model, x, v, v)
-        v = tangent(model, x, v.components / np.sqrt(g))
-    return v
+    g, _ = metric_and_kahler(model, x, v, v)
+    return tangent(model, x, v.components / np.sqrt(g))
 
 
 def crit01_cartan_cocycle(seed=7, n_quadruples=10_000, n_pairs=1_000, tol=1e-9):
@@ -124,8 +120,7 @@ def crit02_chain_extremality(seed=11, n_each=500):
         ts = np.sort(rng.uniform(0, 2 * np.pi, size=3))
         pts = [sample_chain_point(C, t) for t in ts]
         val = cartan_triple_lifts(*(p.lift[None] for p in pts))[0]
-        on_min = min(on_min, abs(val))
-    off_max = 0.0
+        on_min = np.minimum(on_min, abs(val))  # keeps a NaN, unlike min
     lifts = [nu.sample_lifts(n_each, rng=rng) for _ in range(3)]
     off_max = float(np.max(np.abs(cartan_triple_lifts(*lifts))))
     return {
@@ -195,8 +190,6 @@ def crit05_busemann_machinery(seed=17, n_samples=100_000, n_points=20, n_isoms=1
         worst_transform = np.maximum(worst_transform, st.max_zscore)
     # the control isometry must displace the basepoint for the mistuned
     # exponent to bite; a fixed hyperbolic translation guarantees that
-    from .isometries import translation_along_axis
-
     g = translation_along_axis(2, 1.5)
     control = measure_transform_check(
         model, g, n_samples=n_samples, seed=seed, h_override=1.3 * ent.value
@@ -228,7 +221,13 @@ def _pseudo_random_cocycle(seed):
 
 
 def crit06_delta_form_bound(seed=19, n_points=100, n_samples=200_000):
-    """Degree-2 norm bound h^2 and vanishing on the constant cocycle."""
+    """Degree-2 norm bound h^2 and vanishing on the constant cocycle.
+
+    The bound is slack on these cocycles: the largest |value| - bound - 3
+    stderr at seed 19 is -3.87 against a bound of 4, so the norm bound
+    would pass forms many times larger.  The constant cocycle, whose form
+    must vanish, is the criterion's only sharp check.
+    """
     model = HermitianModel(2)
     ent = volume_entropy(model)
     rng = np.random.default_rng(seed)
@@ -261,7 +260,15 @@ def crit06_delta_form_bound(seed=19, n_points=100, n_samples=200_000):
 
 
 def crit07_closedness(seed=23, n_points=20, n_samples=200_000, step=1e-3):
-    """Finite-difference d of the pulled-back Kahler form vanishes."""
+    """Finite-difference d of the pulled-back Kahler form vanishes.
+
+    The tolerance 4 sigma + 100 step^2 is loose: at N = 200k two measured
+    non-cocycles, the Cartan cocycle times (0.5 + |xi_00|^2/|xi_0|^2) and
+    crit06's pseudo-random cocycle, pass at every point with |d| at most
+    0.0097 against median tolerances of 0.008 and 0.012.  Whether their
+    forms are closed is not known, and the criterion has no failing
+    control.
+    """
     model = HermitianModel(2)
     ent = volume_entropy(model)
     emb = standard_embedding(2, 3)
@@ -305,7 +312,7 @@ def crit08_toledo(tol=1e-3):
     ident = Isometry(np.eye(2, dtype=complex), 1)
     trivial = SurfaceGroupRep(genus=2, generators=[ident] * 4)
     res_triv = toledo_surface_group(target, trivial, emb, tol=1e-6)
-    mw, margin = milnor_wood_check(res, 1, 1)
+    mw, margin = milnor_wood_check(res)
     in_budget = time.perf_counter() - t0 < 30.0
     return {
         "name": "toledo invariant of surface groups",

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import os
 import subprocess
 import sys
@@ -7,7 +10,8 @@ import numpy as np
 import pytest
 
 import chaingeo
-from chaingeo import HermitianModel, ProjPoint, VisualMeasure, tangent
+from chaingeo import HermitianModel, ProjPoint, TangentVector, VisualMeasure, tangent
+from chaingeo.cli import main
 
 
 @pytest.fixture
@@ -41,6 +45,25 @@ def random_tangent(model, rng, x):
     return tangent(model, x, raw)
 
 
+def apply_tangent(g, model, v):
+    """Pushforward of a tangent vector by an isometry.
+
+    The image components are re-expressed at the canonical lift of the
+    image base point, so g-norms are preserved exactly.
+    """
+    X = v.base.lift
+    lam = g.form_scale()
+    MX = g.matrix @ X
+    Mv = g.matrix @ v.components
+    # canonical lift of the image divides by sqrt(lam) and a phase; tangent
+    # components must follow the same rescaling
+    Y = MX / np.sqrt(lam)
+    last = Y[-1]
+    phase = np.conj(last) / abs(last)
+    base = ProjPoint(MX, model=model, kind="interior")
+    return TangentVector(base, Mv / np.sqrt(lam) * phase)
+
+
 def fit_circle(zs):
     """Kasa circle fit; returns (center, radius, max geometric residual)."""
     zs = np.asarray(zs)
@@ -63,3 +86,19 @@ def run_python(*args):
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, check=True, timeout=300
     )
+
+
+@functools.cache
+def cli_run(*argv):
+    """(exit code, stdout) of ``chaingeo *argv``, run in process with
+    CHAINGEO_SEED unset.  It is cached, so a command that two test modules
+    check, such as ``verify --suite <key>``, runs once per pytest run."""
+    saved = os.environ.pop("CHAINGEO_SEED", None)
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+    finally:
+        if saved is not None:
+            os.environ["CHAINGEO_SEED"] = saved
+    return code, out.getvalue()

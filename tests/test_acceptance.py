@@ -1,33 +1,30 @@
 """Acceptance suite: every criterion at its contract tolerance.
 
-Each test runs one named verification suite and prints a PASS/FAIL line
-with the headline numbers, so a bare ``pytest -s tests/test_acceptance.py``
-doubles as the verification report.  The same run is rendered as
-``chaingeo verify --suite <key>`` prints it (seed 0) and compared byte for
-byte with ``golden/verify-<key>.json``; ``tests/test_golden.py``
-regenerates those files.
+Each test runs one criterion as ``chaingeo verify --suite <key>`` prints
+it (seed 0), asserts its verdict and exit code, compares the text byte for
+byte with ``golden/verify-<key>.json``, and prints a PASS/FAIL line with
+the headline numbers, so a bare ``pytest -s tests/test_acceptance.py``
+doubles as the verification report.  The run is ``conftest.cli_run``'s,
+which ``tests/test_golden.py`` shares, so each criterion runs once per
+pytest run; ``tests/test_golden.py`` also regenerates the files.
 """
 
+import json
 from pathlib import Path
 
-from chaingeo.cli import verify_payload
-from chaingeo.serialization import dumps
-from chaingeo.verify import ALL_CRITERIA
+from conftest import cli_run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _run(key):
-    result = ALL_CRITERIA[key]()
+    code, text = cli_run("verify", "--suite", key)
+    result = json.loads(text)["results"][key]
     status = "PASS" if result["passed"] else "FAIL"
-    detail = {
-        k: v
-        for k, v in result.items()
-        if k not in ("name", "passed") and isinstance(v, (int, float, str, bool))
-    }
+    detail = {k: v for k, v in result.items() if k not in ("name", "passed")}
     print(f"[{status}] {result['name']}: {detail}")
-    text = dumps(verify_payload({key: result}, seed=0))
     assert text == (GOLDEN / f"verify-{key}.json").read_text(), text
+    assert code == (0 if result["passed"] else 2)
     return result
 
 

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from chaingeo import (
     HermitianModel,
+    Isometry,
     VisualMeasure,
     busemann,
     e_xi,
@@ -13,7 +14,6 @@ from chaingeo import (
     distance,
     measure_transform_check,
     random_isometry,
-    rotation_about_origin,
     unit_mass_check,
     volume_entropy,
 )
@@ -209,7 +209,7 @@ def test_measure_transform_identity_and_unitary(plane2):
     gid = random_isometry(2, seed=0, sigma=0.0)
     st = measure_transform_check(plane2, gid, n_samples=20_000, seed=1, entropy=ent)
     assert st.max_zscore < 1e-9
-    gu = rotation_about_origin(2, [0.9, -0.4])
+    gu = Isometry(np.diag(np.exp(1j * np.array([0.9, -0.4, 0.0]))), 2)
     st2 = measure_transform_check(plane2, gu, n_samples=50_000, seed=1, entropy=ent)
     assert st2.max_zscore < 3.0
 

@@ -11,14 +11,15 @@ from chaingeo import (
     cartan_invariant_flagged,
     chain_contains,
     chain_through,
-    heisenberg_projection,
     sample_chain_point,
 )
+from chaingeo import verify
 from chaingeo.busemann import VisualMeasure
 from chaingeo.chains import Chain, _cartan_flagged, cartan_triple_lifts
 from chaingeo.isometries import apply_isometry, random_isometry
 
 from conftest import fit_circle, random_boundary
+from heisenberg_oracle import heisenberg_projection, null_frame
 
 
 def circle_point(z, model):
@@ -275,10 +276,9 @@ def test_heisenberg_stabilizer_acts_affinely(plane2, rng):
     # conjugating a Heisenberg element into the frame of xi and reading it
     # through the chart must give a map fitted exactly by lam*z + c
     from chaingeo import Isometry, apply_isometry, fit_affine
-    from chaingeo.chains import _null_frame
 
     xi = random_boundary(plane2, rng)
-    B = _null_frame(plane2, xi)
+    B = null_frame(xi)
     a = 0.4 - 0.2j
     n = np.eye(3, dtype=complex)
     n[0, 1] = a
@@ -293,3 +293,14 @@ def test_heisenberg_stabilizer_acts_affinely(plane2, rng):
         ws.append(heisenberg_projection(plane2, xi, apply_isometry(h, zeta)))
     lam, c, diag = fit_affine(list(zip(zs, ws)))
     assert diag["mode"] == "affine" and diag["residual"] < 1e-9
+
+
+def test_nan_on_chain_fails_chain_extremality(monkeypatch):
+    # only the one-row calls, which take the on-chain triples, return NaN
+    def nan_on_chain(*lifts):
+        values = cartan_triple_lifts(*lifts)
+        return np.full_like(values, np.nan) if len(lifts[0]) == 1 else values
+
+    monkeypatch.setattr(verify, "cartan_triple_lifts", nan_on_chain)
+    r = verify.crit02_chain_extremality(n_each=5)
+    assert np.isnan(r["on_chain_min_abs"]) and not r["passed"]

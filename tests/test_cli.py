@@ -136,6 +136,30 @@ BAD_INPUTS = {
         lambda pts: {"p": 2, "q": 2, "pairs": [pts[:2], 5]},
     ),
     "finite-model-zero-denominator": (["finite-model", "--weights", "1/0,1"], None),
+    "finite-model-table-not-list": (
+        ["finite-model", "--table"],
+        lambda pts: {"mul": 5, "H": [0], "Q": [0]},
+    ),
+    "finite-model-table-entry-out-of-range": (
+        ["finite-model", "--table"],
+        lambda pts: {"mul": [[0, 1, 2], [1, 0, 5], [2, 5, 0]], "H": [0], "Q": [0]},
+    ),
+    "finite-model-table-entry-not-integer": (
+        ["finite-model", "--table"],
+        lambda pts: {"mul": [[0, 1], [1, 0.5]], "H": [0, 1], "Q": [0]},
+    ),
+    "finite-model-H-index-out-of-range": (
+        ["finite-model", "--table"],
+        lambda pts: {"mul": [[0, 1], [1, 0]], "H": [0, 7], "Q": [0]},
+    ),
+    "finite-model-H-not-list": (
+        ["finite-model", "--table"],
+        lambda pts: {"mul": [[0, 1], [1, 0]], "H": 5, "Q": [0]},
+    ),
+    "finite-model-Q-not-integer": (
+        ["finite-model", "--table"],
+        lambda pts: {"mul": [[0, 1], [1, 0]], "H": [0, 1], "Q": [0.0]},
+    ),
     "delta-form-10-samples": (["delta-form", "--samples", "10"], None),
     "delta-form-0-samples": (["delta-form", "--samples", "0"], None),
 }
@@ -196,6 +220,18 @@ def test_cli_finite_model(capsys):
     )
     assert code == 0
     assert all(v["ok"] for v in data["verdicts"])
+
+
+@pytest.mark.parametrize("name", ["Z2", None])
+def test_cli_finite_model_reports_table_name(name, tmp_path, capsys):
+    table = {"mul": [[0, 1], [1, 0]], "H": [0, 1], "Q": [0]}
+    if name is not None:
+        table["name"] = name
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, data = run_cli(capsys, ["finite-model", "--table", str(path)])
+    assert code == 0
+    assert data["preset"] == (name or "custom") and data["order"] == 2
 
 
 def test_cli_verify_subset(capsys):

@@ -10,7 +10,6 @@ from chaingeo import (
     BoundaryMapHandle,
     HermitianModel,
     apply_isometry,
-    apply_tangent,
     chain_formula_check,
     delta_form_eval,
     delta_form_field,
@@ -26,7 +25,7 @@ from chaingeo.busemann import _BLOCK_ROWS, VisualMeasure, e_xi_lifts
 from chaingeo.chains import cartan_triple_lifts
 from chaingeo.hermitian import _herm
 
-from conftest import random_boundary, random_interior, random_tangent
+from conftest import apply_tangent, random_boundary, random_interior, random_tangent
 from stream_oracle import whole_array_eval
 
 N_MC = 60_000

@@ -1,10 +1,12 @@
 """Seeded CLI outputs compared byte for byte with committed golden files.
 
 Each case runs one ``chaingeo`` command in process, with CHAINGEO_SEED
-unset, and compares its stdout with ``golden/<name>.json``.  The
-``verify-<key>.json`` file of every criterion is also compared by
-``tests/test_acceptance.py``; the ten criteria that take under 2 s each
-are checked here as well, through the CLI.  The input
+unset, and compares its exit code and stdout with ``golden/<name>.json``.
+The commands run through ``conftest.cli_run``, which caches each one.
+``tests/test_acceptance.py`` compares the ``verify-<key>.json`` file of
+every criterion; the ten criteria that take under 2 s each have a case
+here as well, and it reads the same cached run, so no criterion runs
+twice in one pytest run.  The input
 files under ``golden/inputs`` are fixed data: the points of ``cartan`` and
 ``chain`` are visual-measure samples (seed 1), and each ``reconstruct``
 input is ``verify._planted_sample_map(np.random.default_rng(1), 2, q, 152)``
@@ -20,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from chaingeo.cli import main
 from chaingeo.verify import ALL_CRITERIA
+
+from conftest import cli_run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -70,22 +73,15 @@ VERIFY_CASES = [
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
-def test_golden_output(name, argv, code, capsys, monkeypatch):
-    monkeypatch.delenv("CHAINGEO_SEED", raising=False)
-    assert main(argv) == code
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+def test_golden_output(name, argv, code):
+    got, out = cli_run(*argv)
+    assert got == code
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 if __name__ == "__main__":
-    import contextlib
-    import io
-    import os
-
-    os.environ.pop("CHAINGEO_SEED", None)
     for name, argv, code in CASES + VERIFY_CASES:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            got = main(argv)
+        got, out = cli_run(*argv)
         if got != code:
             sys.exit(f"{name}: exit code {got}, expected {code}")
-        (GOLDEN / f"{name}.json").write_text(out.getvalue())
+        (GOLDEN / f"{name}.json").write_text(out)

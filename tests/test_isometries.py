@@ -8,18 +8,14 @@ from chaingeo import (
     HermitianModel,
     Isometry,
     apply_isometry,
-    apply_tangent,
-    classify,
     distance,
     metric_and_kahler,
     random_isometry,
-    rotation_about_origin,
     standard_embedding,
-    translation_along_axis,
 )
 from chaingeo.chains import cartan_triple_lifts, chain_contains, chain_through, sample_chain_point
 
-from conftest import random_boundary, random_interior, random_tangent
+from conftest import apply_tangent, random_boundary, random_interior, random_tangent
 
 
 def test_isometry_invariant_enforced():
@@ -52,7 +48,7 @@ def test_apply_identity_and_inverse(plane2, rng):
 
 
 def test_unitary_fixes_center(plane2):
-    g = rotation_about_origin(2, [0.7, -1.2])
+    g = Isometry(np.diag(np.exp(1j * np.array([0.7, -1.2, 0.0]))), 2)
     x = plane2.basepoint()
     assert apply_isometry(g, x).same_point_as(x)
 
@@ -69,6 +65,7 @@ def test_apply_preserves_kind_and_distance(plane2, rng):
 
 
 def test_apply_tangent_preserves_norms(plane2, rng):
+    # checks the test helper that test_forms's equivariance test relies on
     x = random_interior(plane2, rng)
     u = random_tangent(plane2, rng, x)
     g = random_isometry(2, seed=21)
@@ -76,37 +73,6 @@ def test_apply_tangent_preserves_norms(plane2, rng):
     n1, _ = metric_and_kahler(plane2, x, u, u)
     n2, _ = metric_and_kahler(plane2, gu.base, gu, gu)
     assert_allclose(n1, n2, rtol=1e-10)
-
-
-def test_classify_identity_elliptic():
-    assert classify(Isometry(np.eye(2, dtype=complex), 1)) == "elliptic"
-
-
-def test_classify_translation_hyperbolic():
-    # conjugate of diag(s, 1/s) in the null frame: axis through the two
-    # real boundary points
-    assert classify(translation_along_axis(1, 2 * np.log(2.0))) == "hyperbolic"
-
-
-def _parabolic_p1(t=0.5):
-    c = np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2)
-    u = np.array([[1, 1j * t], [0, 1]], dtype=complex)
-    return Isometry(c @ u @ np.linalg.inv(c), 1)
-
-
-def test_classify_parabolic_with_fixed_point_oracle(disc):
-    g = _parabolic_p1()
-    assert classify(g) == "parabolic"
-    # oracle: count fixed boundary points on a fine grid
-    ths = np.linspace(0, 2 * np.pi, 4000, endpoint=False)
-    zs = np.exp(1j * ths)
-    lifts = np.column_stack([zs, np.ones_like(zs)])
-    moved = lifts @ g.matrix.T
-    moved_z = moved[:, 0] / moved[:, 1]
-    fixed = np.abs(moved_z - zs) < 2e-3
-    # cluster the hits: number of sign changes of the indicator
-    runs = np.sum(np.diff(fixed.astype(int)) == 1) + (fixed[0] and not fixed[-1])
-    assert 1 <= int(np.sum(fixed) > 0) and runs <= 1
 
 
 def test_standard_embedding_identity_case():

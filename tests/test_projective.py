@@ -13,11 +13,7 @@ from chaingeo import (
     cross_ratio,
     fit_affine,
     harmonic_conjugate,
-    inversion,
-    weakly_order_preserving_check,
 )
-
-from conftest import fit_circle
 
 
 def test_cross_ratio_hand_expanded_oracle():
@@ -147,29 +143,6 @@ def test_quadrilateral_step_indexed_error():
     assert err.value.step == "m1"
 
 
-def test_inversion_fixes_circle_and_involutive(rng):
-    assert_allclose(inversion(0.0, 1.0, 1.0 + 0j), 1.0 + 0j, atol=1e-15)
-    z = 0.5 + 0.25j
-    w = inversion(0.1j, 2.0, inversion(0.1j, 2.0, z))
-    assert abs(w - z) < 1e-12
-
-
-def test_inversion_exact_rational():
-    z = QQi(Fraction(1, 2), Fraction(1, 4))
-    center = QQi(0, Fraction(1, 10))
-    w = inversion(center, QQi(2), inversion(center, QQi(2), z))
-    assert w == z
-
-
-def test_inversion_maps_circles_to_circles(rng):
-    # circle-fit oracle on the image of a sampled circle
-    ths = np.linspace(0, 2 * np.pi, 60, endpoint=False)
-    circle = 1.5 + 0.5j + 0.7 * np.exp(1j * ths)
-    image = np.array([inversion(0.2 + 0.1j, 1.3, z) for z in circle])
-    _, _, resid = fit_circle(image)
-    assert resid < 1e-9
-
-
 def test_fit_affine_exact_recovery(rng):
     zs = rng.normal(size=25) + 1j * rng.normal(size=25)
     lam, c, diag = fit_affine([(z, 2 * z + 1j) for z in zs])
@@ -207,27 +180,3 @@ def test_fit_affine_rejects_collinear():
     with pytest.raises(ValueError):
         fit_affine([(z, 2 * z) for z in zs])
 
-
-def test_weak_order_rotation_true():
-    ths = np.linspace(0.1, 6.0, 12)
-    samples = [(np.exp(1j * t), np.exp(1j * (t + 0.7))) for t in ths]
-    ok, witness = weakly_order_preserving_check(samples)
-    assert ok and witness is None
-
-
-def test_weak_order_reflection_false_with_witness():
-    ths = np.linspace(0.1, 6.0, 12)
-    samples = [(np.exp(1j * t), np.exp(-1j * t)) for t in ths]
-    ok, witness = weakly_order_preserving_check(samples)
-    assert not ok and witness is not None
-
-
-def test_weak_order_arc_collapse_skipped():
-    # collapse the arc [0, 1] to a single image, monotone elsewhere
-    def f(t):
-        return 1.0 if t <= 1.0 else t
-
-    ths = np.linspace(0.0, 6.0, 15)
-    samples = [(np.exp(1j * t), np.exp(1j * f(t))) for t in ths]
-    ok, _ = weakly_order_preserving_check(samples)
-    assert ok

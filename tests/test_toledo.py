@@ -5,13 +5,14 @@ from chaingeo import (
     HermitianModel,
     Isometry,
     SurfaceGroupRep,
+    apply_isometry,
     conjugate_rep,
     fuchsian_genus2_rep,
-    homogeneous_cocycle,
     milnor_wood_check,
     random_isometry,
     standard_embedding,
     toledo_surface_group,
+    triangle_area,
 )
 
 from conftest import random_interior
@@ -35,7 +36,8 @@ def test_rejects_relator_violation():
 def test_homogeneous_cocycle_degenerate(disc, rng):
     g = random_isometry(1, seed=1)
     x = disc.basepoint()
-    res = homogeneous_cocycle(disc, g, g, random_isometry(1, seed=2), x)
+    pts = [apply_isometry(h, x) for h in (g, g, random_isometry(1, seed=2))]
+    res = triangle_area(disc, *pts, tol=1e-6)
     assert res.degenerate and res.value == 0.0
 
 
@@ -43,15 +45,15 @@ def test_homogeneous_cocycle_left_invariance(disc, rng):
     gs = [random_isometry(1, seed=s, sigma=0.6) for s in (3, 4, 5)]
     h = random_isometry(1, seed=6, sigma=0.6)
     x = disc.basepoint()
-    a = homogeneous_cocycle(disc, *gs, x, tol=1e-7)
+    a = triangle_area(disc, *(apply_isometry(g, x) for g in gs), tol=1e-7)
     moved = [Isometry(h.matrix @ g.matrix, 1) for g in gs]
-    b = homogeneous_cocycle(disc, *moved, x, tol=1e-7)
+    b = triangle_area(disc, *(apply_isometry(g, x) for g in moved), tol=1e-7)
     assert abs(a.value - b.value) < 1e-5
 
 
 def test_homogeneous_cocycle_bounded(disc, rng):
     gs = [random_isometry(1, seed=s, sigma=1.2) for s in (7, 8, 9)]
-    res = homogeneous_cocycle(disc, *gs, disc.basepoint(), tol=1e-6)
+    res = triangle_area(disc, *(apply_isometry(g, disc.basepoint()) for g in gs), tol=1e-6)
     assert abs(res.value) <= np.pi + 1e-3
 
 
@@ -59,7 +61,7 @@ def test_fuchsian_value(octagon):
     target = HermitianModel(1)
     res = toledo_surface_group(target, octagon, standard_embedding(1, 1))
     assert abs(res.value - 1.0) < 1e-3
-    ok, margin = milnor_wood_check(res, 1, 1)
+    ok, margin = milnor_wood_check(res)
     assert ok and abs(margin) < 1e-3
 
 
@@ -114,14 +116,14 @@ def test_milnor_wood_margins():
         value = 0.0
         err_bound = 0.0
 
-    ok, margin = milnor_wood_check(R, 1, 1)
+    ok, margin = milnor_wood_check(R)
     assert ok and margin == 1.0
 
     class R2:
         value = 1.2
         err_bound = 0.0
 
-    ok2, margin2 = milnor_wood_check(R2, 1, 1)
+    ok2, margin2 = milnor_wood_check(R2)
     assert not ok2 and margin2 < 0
 
 
