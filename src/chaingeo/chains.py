@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermitianModel, ProjPoint, _gram, _herm, _holonomy
+from .hermitian import HermitianModel, ProjPoint, _gram, _herm, _holonomy, _norm
 
 __all__ = [
     "Chain",
@@ -142,15 +142,21 @@ def chain_through(model, xi, eta):
 
 
 def _in_span(span, lifts, tol):
-    """Whether each lift (last axis) lies in the column span of ``span``: its
-    least-squares distance to the span is at most ``tol`` times its norm.
-
-    A stack of spans (..., p+1, k) tests a matching stack of lift rows
-    (..., m, p+1); each item is computed as by a call of its own.
-    """
-    u = np.linalg.svd(span, full_matrices=False)[0]  # orthonormal basis
-    res = lifts - (lifts @ u.conj()) @ u.mT
-    return np.linalg.norm(res, axis=-1) <= tol * np.linalg.norm(lifts, axis=-1)
+    """Whether each lift z (last axis) lies in the span of the columns a, b
+    of ``span``: |z - <u1,z> u1 - <u2,z> u2| <= tol |z| for the Gram-Schmidt
+    basis u1 = a/|a|, u2 = w/|w|, w = b - <u1,b> u1 orthogonalized against
+    u1 twice to keep near pairs at rounding level.  A rank-1 span, |w| <=
+    (p+1) eps |b| as in ``np.linalg.matrix_rank``, tests the line of a.
+    Stacks of spans (..., p+1, 2) and lifts (..., p+1) broadcast over their
+    leading axes, each item computed as by a call of its own."""
+    a, b = span[..., 0], span[..., 1]
+    u1 = a / _norm(a)[..., None]
+    w = b - np.vecdot(u1, b)[..., None] * u1
+    w -= np.vecdot(u1, w)[..., None] * u1
+    nw = _norm(w)[..., None]
+    u2 = w / np.where(nw <= a.shape[-1] * np.finfo(float).eps * _norm(b)[..., None], np.inf, nw)
+    res = lifts - np.vecdot(u1, lifts)[..., None] * u1 - np.vecdot(u2, lifts)[..., None] * u2
+    return _norm(res) <= tol * _norm(lifts)
 
 
 def chain_contains(C, zeta, tol=1e-8):

@@ -257,7 +257,6 @@ def _cmd_finite_model(args):
         if not isinstance(data["mul"], list):
             raise ValueError(f"{args.table}: 'mul' must be a list of table rows")
         model = fm.FiniteGroupModel(
-            elements=list(range(len(data["mul"]))),
             mul_table=data["mul"],
             H=data["H"],
             Q=data["Q"],

@@ -51,11 +51,11 @@ def _perm_mul(a, b):
 
 
 def _perm_group(perms):
-    """(perms, index, mul): the listed permutations, the index of each and
-    the multiplication table of the list."""
+    """(index, mul): the index of each listed permutation and the
+    multiplication table of the list."""
     index = {p: i for i, p in enumerate(perms)}
     mul = np.array([[index[_perm_mul(a, b)] for b in perms] for a in perms], dtype=int)
-    return perms, index, mul
+    return index, mul
 
 
 def _coset_table(mul, sub):
@@ -98,16 +98,15 @@ class FiniteGroupModel:
 
     Multiplication, inverses, and coset actions are integer tables; all
     group axioms and the containment Q <= H are verified on construction.
-    The table and the subgroups must hold element indices, integers in
-    range(|G|); anything else raises ValueError.
+    The order |G| is the table's length; the table and the subgroups must
+    hold element indices, integers in range(|G|), or raise ValueError.
     """
 
-    def __init__(self, elements, mul_table, H, Q, name=""):
+    def __init__(self, mul_table, H, Q, name=""):
         self.name = name
-        self.n = len(elements)
+        self.n = len(mul_table)
         if self.n > MAX_GROUP_ORDER:
             raise ValueError("group order exceeds the enforced bound")
-        self.elements = elements
         self.mul = np.asarray(mul_table)
         if self.mul.shape != (self.n, self.n):
             raise ValueError("multiplication table must be |G| x |G|")
@@ -191,26 +190,26 @@ def preset_model(name):
     """Named models: 'S3' (H = <(12)>, Q = 1), 'S4' (H = Stab(3) ~ S3,
     Q = <(01)>), 'D4' (H = rotations, Q = <r^2>)."""
     if name == "S3":
-        perms, index, mul = _perm_group(list(permutations(range(3))))
+        index, mul = _perm_group(list(permutations(range(3))))
         swap = index[(1, 0, 2)]
         H = {index[(0, 1, 2)], swap}
         Q = {index[(0, 1, 2)]}
-        return FiniteGroupModel(perms, mul, H, Q, name="S3")
+        return FiniteGroupModel(mul, H, Q, name="S3")
     if name == "S4":
-        perms, index, mul = _perm_group(list(permutations(range(4))))
-        H = {i for i, p in enumerate(perms) if p[3] == 3}
+        index, mul = _perm_group(list(permutations(range(4))))
+        H = {i for p, i in index.items() if p[3] == 3}
         Q = {index[(0, 1, 2, 3)], index[(1, 0, 2, 3)]}
-        return FiniteGroupModel(perms, mul, H, Q, name="S4")
+        return FiniteGroupModel(mul, H, Q, name="S4")
     if name == "D4":
         # dihedral group on the square's vertices 0..3
         r = (1, 2, 3, 0)
         s = (3, 2, 1, 0)
         ident = (0, 1, 2, 3)
-        elements, index, mul = _perm_group(_close_generators([r, s], 4))
+        index, mul = _perm_group(_close_generators([r, s], 4))
         r2 = _perm_mul(r, r)
         H = {index[ident], index[r], index[r2], index[_perm_mul(r2, r)]}
         Q = {index[ident], index[r2]}
-        return FiniteGroupModel(elements, mul, H, Q, name="D4")
+        return FiniteGroupModel(mul, H, Q, name="D4")
     raise ValueError(f"unknown preset {name!r}")
 
 

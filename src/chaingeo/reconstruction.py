@@ -8,8 +8,8 @@ The compatibility gate mines co-chain triples from the samples.  All
 random source pairs are drawn at once and tested in draw order, a block at
 a time: a sample's distance from a pair's chain is a bilinear form in the
 outer product of its unit lift, so one real matrix product per block rules
-out the far samples, and the span test decides the rest.  The report is
-the one a pair-by-pair loop gives from the same draws, at any block size.
+out the far samples, and one stacked span test decides the rest when they
+could complete the count.  The report matches the pair-by-pair loop's.
 
 The fit proceeds in three stages: a projective direct linear solve (each
 sample constrains W xi to the line of its target), an alternation of
@@ -97,13 +97,12 @@ class CompatibilityReport:
         )
 
 
-# pairs tested per block of the co-chain mining loop; the mined triples do
-# not depend on it.  Blocks of 64 to 512 run within 20% of one another, and
-# larger ones only grow the (block x n) tables: on the perfbench reconstruct
-# op list peak RSS was 47.2 MB at 256, 50.3 MB at 1024, 60.7 MB in one block
+# pairs prefiltered per block of the co-chain mining loop; the mined triples
+# do not depend on it.  On the perfbench reconstruct op list at seed 1, 256
+# gave 48.6 MB peak RSS and 81 ops/s, 1024 gave 50.2 MB and 88 ops/s
 _MINING_BLOCK = 256
-# a pair of unit lifts with h = 1 - |<a, b>|^2 below this sends every lift to
-# _in_span: the prefilter finds h r^2, so its rounding error in r^2 grows as 1/h
+# a pair of unit lifts with h = 1 - |<a, b>|^2 below this keeps every lift for
+# the exact test: the prefilter finds h r^2, so its rounding error in r^2 grows as 1/h
 _NEAR_PAIR = 1e-4
 # the prefilter rules a lift out only when its squared residual exceeds
 # tol^2 by this much; away from near pairs its rounding error is below 1e-10
@@ -117,11 +116,9 @@ def _real_outer(x, y):
     return np.concatenate([P.real, P.imag], axis=1).reshape(len(P), -1)
 
 
-def _span_members(lifts, unit, table, pairs, tol):
-    """(rows, members): in draw order, the rows (a, b) of ``pairs`` that
-    name two points and may have others on their chain, and for each the
-    sorted z other than a and b with ``_in_span(lifts[[a, b]].T, lifts[z],
-    tol)``, which makes every decision; no other row has members.
+def _candidates(unit, table, pairs, tol):
+    """(t, z): in draw order, the samples z other than a and b that may lie
+    on the chain through row t = (a, b), a != b, of ``pairs``; no others do.
 
     ``unit`` holds the unit lifts u and ``table`` is
     ``_real_outer(unit, unit).T``.  With g = <u_a, u_b> and h = 1 - |g|^2,
@@ -131,7 +128,6 @@ def _span_members(lifts, unit, table, pairs, tol):
 
     so one real product of the P rows with ``table`` rules out the lifts
     beyond tol^2 + _GRAM_SLACK, none for a near pair (h < _NEAR_PAIR).
-    Only rows left with candidates are tested for distinct points.
     """
     a, b = pairs.T
     ua, ub = unit[a], unit[b]
@@ -141,10 +137,8 @@ def _span_members(lifts, unit, table, pairs, tol):
     cand = (h < _NEAR_PAIR) | (P @ table >= h * (1.0 - tol**2 - _GRAM_SLACK))
     rows = np.arange(len(pairs))
     cand[rows, a] = cand[rows, b] = False
-    rows = np.flatnonzero(cand.any(axis=1))
-    rows = rows[~_same_line(lifts[a[rows]], lifts[b[rows]])]
-    members = [np.flatnonzero(cand[t]) for t in rows]
-    return rows, [z[_in_span(lifts[pairs[t]].T, lifts[z], tol)] for t, z in zip(rows, members)]
+    cand[a == b] = False
+    return np.divmod(np.flatnonzero(cand), len(unit))
 
 
 def _mine_cochain(rng, lifts, n_triples, tol):
@@ -152,34 +146,37 @@ def _mine_cochain(rng, lifts, n_triples, tol):
     pair draws: i, j a random pair of distinct points and k a random other
     sample on the chain through them.
 
-    All pairs are drawn in one call and tested in draw order, a block at a
-    time, against one table of the unit lifts' outer products (see
-    ``_span_members``).  The first ``n_triples`` pairs with members are
-    kept, and one more call picks each k among its pair's members.
+    All pairs are drawn in one call and prefiltered a block at a time (see
+    ``_candidates``); one ``_on_chain`` call decides the waiting candidates
+    once they could fill ``n_triples`` pairs, or after the last block.  Of
+    the first ``n_triples`` pairs with members, one more call picks each k.
     """
     unit = lifts / np.linalg.norm(lifts, axis=-1, keepdims=True)
     table = _real_outer(unit, unit).T
     pairs = rng.integers(0, len(lifts), size=(20 * n_triples, 2))
-    hits, members = [], []
+    # rows (draw, i, j, k) of co-chain triples and of candidates, and their draws
+    found, pending, rows = np.zeros((0, 4), dtype=int), [], 0
     for start in range(0, len(pairs), _MINING_BLOCK):
         block = pairs[start:start + _MINING_BLOCK]
-        for t, m in zip(*_span_members(lifts, unit, table, block, tol)):
-            if len(m):
-                hits.append(start + t)
-                members.append(m)
-        if len(hits) >= n_triples:
-            break
-    members = members[:n_triples]
-    k = rng.integers(np.array([len(m) for m in members], dtype=int))
-    cochain = [(*pairs[h], m[c]) for h, m, c in zip(hits, members, k)]
-    return np.array(cochain, dtype=int).reshape(-1, 3)
+        t, z = _candidates(unit, table, block, tol)
+        pending.append(np.column_stack([start + t, block[t], z]))
+        rows += len(np.unique(t))
+        if rows >= n_triples or start + _MINING_BLOCK >= len(pairs):
+            cand = np.concatenate(pending)
+            found = np.concatenate([found, cand[_on_chain(lifts, cand[:, 1:], tol)]])
+            pending, rows = [], len(np.unique(found[:, 0]))
+            if rows >= n_triples:
+                break
+    _, first, counts = np.unique(found[:, 0], return_index=True, return_counts=True)
+    k = rng.integers(counts[:n_triples])
+    return found[first[:n_triples] + k, 1:]
 
 
 def _on_chain(lifts, triples, tol):
-    """Whether lift k lies on the chain through lifts i and j, for each row
-    (i, j, k) of ``triples``."""
-    i, j, k = triples.T
-    return _in_span(np.stack([lifts[i], lifts[j]], axis=-1), lifts[k][:, None], tol)[:, 0]
+    """Whether lifts i and j are two points and lift k lies on the chain
+    through them, for each row (i, j, k) of ``triples``."""
+    a, b, z = lifts[triples.T]
+    return ~_same_line(a, b) & _in_span(np.stack([a, b], axis=-1), z, tol)
 
 
 def chain_compatibility_check(sample_map, n_triples=300, seed=0, tol=1e-7):
@@ -202,10 +199,9 @@ def chain_compatibility_check(sample_map, n_triples=300, seed=0, tol=1e-7):
     # that repeats an index is not generic
     triples = rng.integers(0, len(src), size=(n_triples, 3))
 
-    i, j, k = cochain.T
-    on_image = ~_same_line(tgt[i], tgt[j]) & _on_chain(tgt, cochain, tol_q)
-    cp = cartan_triple_lifts(src[i], src[j], src[k])
-    cq = cartan_triple_lifts(tgt[i], tgt[j], tgt[k])
+    on_image = _on_chain(tgt, cochain, tol_q)
+    cp = cartan_triple_lifts(*src[cochain.T])
+    cq = cartan_triple_lifts(*tgt[cochain.T])
     img_cochain = int(on_image.sum())
     orient_match = int((on_image & (np.sign(cp) == np.sign(cq))).sum())
 

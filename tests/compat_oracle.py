@@ -1,7 +1,9 @@
 """Reference for the chain-compatibility check: the pair-by-pair loop.
 
-Each mined pair is tested against every sample with one ``_in_span`` call,
-and each image and generic triple builds its ``Chain``.  The random draws
+Each mined pair is tested against every sample with one span test, and
+each image and generic triple builds its ``Chain`` and tests its third
+point.  The span test here is its own: the least-squares residual against
+an SVD basis, not the library's closed form.  The random draws
 are the three calls of ``reconstruction.chain_compatibility_check``, in
 its order: every mining pair, then one k per kept pair, then the generic
 triples.  So the two give equal reports.  A generic triple whose image
@@ -10,9 +12,49 @@ pair is one point counts as a non-generic image.
 
 import numpy as np
 
-from chaingeo.chains import _in_span, cartan_triple_lifts, chain_contains, chain_through
+from chaingeo.chains import cartan_triple_lifts, chain_through
 from chaingeo.hermitian import HermitianModel
 from chaingeo.reconstruction import CompatibilityReport
+
+
+def svd_in_span(span, lifts, tol):
+    """Whether each lift (last axis) lies in the column span of ``span``: its
+    least-squares distance to the span, against an orthonormal basis from
+    ``np.linalg.svd``, is at most ``tol`` times its norm."""
+    u = np.linalg.svd(span, full_matrices=False)[0]
+    res = lifts - (lifts @ u.conj()) @ u.mT
+    return np.linalg.norm(res, axis=-1) <= tol * np.linalg.norm(lifts, axis=-1)
+
+
+def planted_span_lifts(rng, p, tol, n=40):
+    """(L, planted): n unit lifts in C^{p+1} with planted ones.  L[1] and
+    L[2] make with L[0] a near pair (1 - |g|^2 ~ 1e-5) and a nearly
+    coincident pair (~1e-12).  ``planted`` maps the slots 3..8 to (pair,
+    inside) for a lift at 0.99 or 1.01 tol from the span of the regular
+    pair (10, 11), of (0, 1) and of (0, 2), inside being whether it lies
+    within tol.  At p = 1 two independent lifts span C^2, so every planted
+    lift lies in its span."""
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    L = np.array([unit(v) for v in gauss(n, p + 1)])
+    L[1] = unit(L[0] + 3e-3 * unit(gauss(p + 1)))
+    L[2] = unit(L[0] + 1e-6 * unit(gauss(p + 1)))
+    planted = {}
+    slot = 3
+    for pair in ((10, 11), (0, 1), (0, 2)):
+        q = np.linalg.qr(L[list(pair)].T, mode="complete")[0]
+        for f in (0.99, 1.01):
+            eps = f * tol / np.sqrt(1.0 - (f * tol) ** 2)
+            off = q[:, 2:] @ unit(gauss(p - 1)) if p > 1 else 0.0
+            L[slot] = unit(q[:, :2] @ unit(gauss(2)) + eps * off)
+            planted[slot] = (pair, f < 1 or p == 1)
+            slot += 1
+    return L, planted
 
 
 def compatibility_loop(sample_map, n_triples=300, seed=0, tol=1e-7):
@@ -27,7 +69,7 @@ def compatibility_loop(sample_map, n_triples=300, seed=0, tol=1e-7):
     for i, j in rng.integers(0, n, size=(n_triples * 20, 2)):
         if xs[i].same_point_as(xs[j]):
             continue
-        members = np.where(_in_span(src[[i, j]].T, src, tol))[0]
+        members = np.where(svd_in_span(src[[i, j]].T, src, tol))[0]
         members = [k for k in members if k not in (i, j)]
         if members:
             mined.append((i, j, members))
@@ -41,7 +83,7 @@ def compatibility_loop(sample_map, n_triples=300, seed=0, tol=1e-7):
         if ys[i].same_point_as(ys[j]):
             continue
         Cq = chain_through(model_q, ys[i], ys[j])
-        if chain_contains(Cq, ys[k], tol=max(tol, 1e-6)):
+        if svd_in_span(Cq.span, ys[k].lift, max(tol, 1e-6)):
             img_cochain += 1
             cp = cartan_triple_lifts(
                 xs[i].lift[None], xs[j].lift[None], xs[k].lift[None]
@@ -57,13 +99,13 @@ def compatibility_loop(sample_map, n_triples=300, seed=0, tol=1e-7):
         if xs[i].same_point_as(xs[j]) or xs[j].same_point_as(xs[k]):
             continue
         C = chain_through(model_p, xs[i], xs[j])
-        if chain_contains(C, xs[k], tol=tol):
+        if svd_in_span(C.span, xs[k].lift, tol):
             continue
         generic += 1
         if ys[i].same_point_as(ys[j]):
             continue
         Cq = chain_through(model_q, ys[i], ys[j])
-        if not chain_contains(Cq, ys[k], tol=max(tol, 1e-6)):
+        if not svd_in_span(Cq.span, ys[k].lift, max(tol, 1e-6)):
             img_generic += 1
     note = "" if cochain else "no co-chain triples found among the samples"
     nc = len(cochain)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,9 +17,10 @@ from chaingeo import (
 )
 from chaingeo import verify
 from chaingeo.busemann import VisualMeasure
-from chaingeo.chains import Chain, _cartan_flagged, cartan_triple_lifts
+from chaingeo.chains import Chain, _cartan_flagged, _in_span, cartan_triple_lifts
 from chaingeo.isometries import apply_isometry, random_isometry
 
+from compat_oracle import planted_span_lifts, svd_in_span
 from conftest import fit_circle, random_boundary
 from heisenberg_oracle import heisenberg_projection, null_frame
 
@@ -144,6 +147,37 @@ def test_chain_membership_span_oracle(plane2):
     assert np.linalg.norm(span @ coef - probe.lift) < 1e-12
     assert chain_contains(C, probe)
     assert not chain_contains(C, e([0, 1, 1]))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_in_span_matches_svd_oracle(p):
+    """The closed-form span test gives the SVD least-squares test's
+    booleans, alone and stacked, on a regular pair, a near pair and a
+    nearly coincident pair with lifts planted at 0.99 and 1.01 tol."""
+    tol = 1e-7
+    L, planted = planted_span_lifts(np.random.default_rng(p), p, tol)
+    pairs = [(10, 11), (0, 1), (0, 2), (1, 2), (5, 30)]
+    spans = np.stack([L[[a, b]].T for a, b in pairs])
+    alone = np.stack([_in_span(span, L, tol) for span in spans])
+    assert (alone == np.stack([svd_in_span(span, L, tol) for span in spans])).all()
+    assert (_in_span(spans[:, None], L, tol) == alone).all()
+    for z, (pair, inside) in planted.items():
+        assert alone[pairs.index(pair), z] == inside
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_in_span_rank_one_span_is_its_line(p):
+    """A span of parallel or zero columns is tested against the line of its
+    first column, with no warning: only lifts on that line are members."""
+    rng = np.random.default_rng(p)
+    a = rng.normal(size=p + 1) + 1j * rng.normal(size=p + 1)
+    off = rng.normal(size=p + 1) + 1j * rng.normal(size=p + 1)
+    lifts = np.stack([(2 - 1j) * a, off, a + 1e-3 * off])
+    for b in (a, 2j * a, np.zeros_like(a)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _in_span(np.column_stack([a, b]), lifts, 1e-7)
+        assert got.tolist() == [True, False, False]
 
 
 def test_chain_triples_are_extremal(plane2, rng):

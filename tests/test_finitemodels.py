@@ -264,6 +264,17 @@ def test_group_order_bound():
         fm._close_generators([cycle, swap], 8)
 
 
+def test_group_model_order_from_table():
+    """The group order is the table's length; the order bound fires before
+    the table is read, and a ragged or non-square table is rejected."""
+    assert fm.preset_model("S3").n == 6
+    with pytest.raises(ValueError, match="exceeds the enforced bound"):
+        fm.FiniteGroupModel([[0]] * (fm.MAX_GROUP_ORDER + 1), {0}, {0})
+    for table in ([[0, 1], [1]], [[0, 1]], [[0, 1, 0], [1, 0, 1]]):
+        with pytest.raises(ValueError):
+            fm.FiniteGroupModel(table, {0}, {0})
+
+
 def test_orbit_map_equivariance(s3, rng):
     # the enumeration map (g, x1..xn) -> (g x1, .., g xn) intertwines left
     # translation with the diagonal action, exactly

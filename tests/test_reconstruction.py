@@ -19,13 +19,14 @@ from chaingeo.chains import _in_span, cartan_triple_lifts
 from chaingeo.isometries import _form_residual
 from chaingeo.reconstruction import (
     CompatibilityReport,
+    _candidates,
     _isometry_project,
+    _on_chain,
     _real_outer,
-    _span_members,
 )
 from chaingeo.verify import _planted_sample_map
 
-from compat_oracle import compatibility_loop
+from compat_oracle import compatibility_loop, planted_span_lifts
 
 
 def test_sample_map_minimum_count(plane2, rng):
@@ -116,45 +117,46 @@ def test_mining_block_size_leaves_report(name, monkeypatch):
 
 
 def test_span_members_match_in_span():
-    """The bilinear prefilter drops no lift that ``_in_span`` accepts, for a
-    regular pair, a near pair (1 - |g|^2 ~ 1e-5) and a nearly coincident
-    pair (~1e-12), each with lifts at 0.99 and 1.01 tol from its span."""
-    rng = np.random.default_rng(8)
+    """The bilinear prefilter of ``_candidates`` drops no lift that
+    ``_in_span`` accepts, and ``_on_chain`` on the candidates of all pairs
+    in one stacked call finds them, for a regular pair, a near pair
+    (1 - |g|^2 ~ 1e-5) and a nearly coincident pair (~1e-12), each with
+    lifts at 0.99 and 1.01 tol from its span."""
     tol = 1e-7
-
-    def unit(v):
-        return v / np.linalg.norm(v)
-
-    def gauss(*shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    L = np.array([unit(v) for v in gauss(40, 3)])
-    L[1] = unit(L[0] + 3e-3 * unit(gauss(3)))
-    L[2] = unit(L[0] + 1e-6 * unit(gauss(3)))
-    planted = {}  # index -> (pair, member?)
-    slot = 3
-    for pair in ((10, 11), (0, 1), (0, 2)):
-        q = np.linalg.qr(L[list(pair)].T, mode="complete")[0]
-        for f in (0.99, 1.01):
-            eps = f * tol / np.sqrt(1.0 - (f * tol) ** 2)
-            L[slot] = unit(q[:, :2] @ unit(gauss(2)) + eps * q[:, 2])
-            planted[slot] = (pair, f < 1)
-            slot += 1
+    L, planted = planted_span_lifts(np.random.default_rng(8), 2, tol)
     assert 1 - abs(np.vdot(L[0], L[1])) ** 2 < 1e-4
     assert 1 - abs(np.vdot(L[0], L[2])) ** 2 < 1e-10
-    pairs = np.array([(a, b) for a in range(40) for b in range(40) if a != b])
-    rows, found = _span_members(L, L, _real_outer(L, L).T, pairs, tol)
-    members = [[]] * len(pairs)
-    for t, m in zip(rows, found):
-        members[t] = m.tolist()
-    assert list(rows) == sorted(rows)
+    pairs = np.array([(a, b) for a in range(40) for b in range(40)])
+    t, z = _candidates(L, _real_outer(L, L).T, pairs, tol)
+    assert np.all(np.diff(t * 40 + z) > 0)  # draw order
+    on = _on_chain(L, np.column_stack([pairs[t], z]), tol)
+    members = [[] for _ in pairs]
+    for r, m in zip(t[on], z[on]):
+        members[r].append(m)
     for (a, b), got in zip(pairs, members):
-        want = [z for z in np.flatnonzero(_in_span(L[[a, b]].T, L, tol)) if z not in (a, b)]
+        want = [] if a == b else [
+            z for z in np.flatnonzero(_in_span(L[[a, b]].T, L, tol)) if z not in (a, b)
+        ]
         assert got == want
     for z, (pair, inside) in planted.items():
         for a, b in (pair, pair[::-1]):
-            row = next(t for t, (u, v) in enumerate(pairs) if (u, v) == (a, b))
-            assert (z in members[row]) == inside
+            assert (z in members[40 * a + b]) == inside
+
+
+def test_compatibility_makes_no_svd(monkeypatch):
+    """The chain-compatibility check of a planted (2,3) map decides every
+    membership in closed form, with no ``np.linalg.svd`` call."""
+    smap = _planted_sample_map(np.random.default_rng(6), 2, 3, 152)[0]
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rep = chain_compatibility_check(smap, seed=1)
+    assert rep.cochain_triples > 0 and len(calls) == 0
 
 
 @settings(max_examples=60, deadline=None)
