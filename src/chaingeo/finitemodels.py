@@ -15,6 +15,17 @@ functions correspond to fibered functions; the homotopy operators act
 there.  With the face signs (-1)^{i-1} used by the differential, the
 homotopy integration variable enters in the first tuple slot so that
 h_n d_n + d_{n-1} h_{n-1} = Id holds exactly.
+
+The group side is computed on whole arrays over integer index tables: the
+multiplication table, the inverses, the coset of each element, and one
+coset-action table ``T[g, j]``, the G/Q coset of g x_j for the least
+element x_j of the j-th coset of H/Q.  The fibered tuples and the action
+``hq_act`` of H on H/Q are read off ``T``; the differential, the kernel,
+the homotopy and the H-average are broadcast views and fancy-indexed
+gathers of these tables.  Functions, weights and kernels are numpy object
+arrays of ``Fraction``s, so every sum and product stays exact and
+unbounded.  The elementwise loop definitions that the arrays are tested
+against are kept in ``tests/finitemodel_oracle.py``.
 """
 
 from __future__ import annotations
@@ -60,17 +71,12 @@ def _perm_group(perms):
 
 def _coset_table(mul, sub):
     """Cosets {mul[g, s] : s in sub} of a subgroup: the least member of
-    each, and the index of each element's coset.  The table ``mul`` gives
-    the left cosets gS; its transpose gives the right cosets Sg."""
-    of = np.full(len(mul), -1, dtype=int)
-    reps = []
-    for g in range(len(mul)):
-        if of[g] >= 0:
-            continue
-        members = sorted(int(mul[g, s]) for s in sub)
-        reps.append(members[0])
-        of[members] = len(reps) - 1
-    return reps, of
+    each, in increasing order, and the index of each element's coset.  The
+    table ``mul`` gives the left cosets gS; its transpose gives the right
+    cosets Sg."""
+    least = mul[:, list(sub)].min(axis=1)
+    reps = np.unique(least)
+    return reps, np.searchsorted(reps, least)
 
 
 def _close_generators(gens, n):
@@ -100,6 +106,10 @@ class FiniteGroupModel:
     group axioms and the containment Q <= H are verified on construction.
     The order |G| is the table's length; the table and the subgroups must
     hold element indices, integers in range(|G|), or raise ValueError.
+
+    ``hq_cosets`` lists the G/Q cosets that make up H/Q.  ``T[g, j]`` is
+    the G/Q coset of g x_j, and ``hq_act[h, j]`` the position in H/Q of
+    h x_j for h in H (-1 in the rows of elements outside H).
     """
 
     def __init__(self, mul_table, H, Q, name=""):
@@ -117,41 +127,35 @@ class FiniteGroupModel:
         self.Q = self._subgroup(Q, "Q")
         if not self.Q <= self.H:
             raise ValueError("Q must be contained in H")
-        # left cosets of Q in G, indexed; representative = min element index
+        # left cosets of Q and H in G, indexed; representative = least element
         self.gq_cosets, self.gq_of = _coset_table(self.mul, self.Q)
         self.gh_cosets, self.gh_of = _coset_table(self.mul, self.H)
-        # H/Q inside G/Q: cosets hQ for h in H
-        hq = sorted({self.gq_of[h] for h in self.H})
-        self.hq_cosets = hq
-        self.hq_index = {c: i for i, c in enumerate(hq)}
+        self.hq_cosets = np.unique(self.gq_of[list(self.H)])
+        self.T = self.gq_of[self.mul[:, self.gq_cosets[self.hq_cosets]]]
+        pos = np.full(len(self.gq_cosets), -1)
+        pos[self.hq_cosets] = np.arange(len(self.hq_cosets))
+        self.hq_act = pos[self.T]
 
     def _verify_axioms(self):
-        n = self.n
-        rng = range(n)
-        ident = None
-        for e in rng:
-            if all(self.mul[e, x] == x and self.mul[x, e] == x for x in rng):
-                ident = e
-                break
-        if ident is None:
+        mul, n = self.mul, self.n
+        idx = np.arange(n)
+        two_sided = np.all(mul == idx, axis=1) & np.all(mul == idx[:, None], axis=0)
+        if not two_sided.any():
             raise ValueError("no identity element")
-        self.identity = ident
-        self.inv = np.empty(n, dtype=int)
-        for x in rng:
-            ys = np.where(self.mul[x, :] == ident)[0]
-            if len(ys) != 1 or self.mul[ys[0], x] != ident:
-                raise ValueError("inverses are not well defined")
-            self.inv[x] = ys[0]
-        # associativity on a deterministic sample for large groups, fully
-        # for small ones
+        self.identity = ident = int(np.argmax(two_sided))
+        hits = mul == ident
+        self.inv = np.argmax(hits, axis=1)
+        if not np.all((hits.sum(axis=1) == 1) & (mul[self.inv, idx] == ident)):
+            raise ValueError("inverses are not well defined")
+        # associativity on every triple for small groups, and on a
+        # deterministic sample of 20000 triples for large ones
         if n <= 64:
-            triples = product(rng, rng, rng)
+            ok = mul[mul] == mul[:, mul]
         else:
-            rs = np.random.default_rng(0)
-            triples = (tuple(rs.integers(0, n, size=3)) for _ in range(20000))
-        for a, b, c in triples:
-            if self.mul[self.mul[a, b], c] != self.mul[a, self.mul[b, c]]:
-                raise ValueError("multiplication table is not associative")
+            a, b, c = np.random.default_rng(0).integers(0, n, size=(20000, 3)).T
+            ok = mul[mul[a, b], c] == mul[a, mul[b, c]]
+        if not ok.all():
+            raise ValueError("multiplication table is not associative")
 
     def _subgroup(self, sub, label):
         """The subgroup whose element indices ``sub`` lists, as a frozenset."""
@@ -167,23 +171,17 @@ class FiniteGroupModel:
     def _verify_subgroup(self, sub, label):
         if self.identity not in sub:
             raise ValueError(f"{label} misses the identity")
-        for a in sub:
-            if int(self.inv[a]) not in sub:
-                raise ValueError(f"{label} is not inverse-closed")
-            for b in sub:
-                if int(self.mul[a, b]) not in sub:
-                    raise ValueError(f"{label} is not closed")
-
-    # --- actions ---------------------------------------------------------
+        # the first member, in the set's order, whose inverse or whose
+        # products leave the set names the failure
+        a = np.fromiter(sub, dtype=int)
+        no_inv = ~np.isin(self.inv[a], a)
+        bad = np.flatnonzero(no_inv | ~np.isin(self.mul[np.ix_(a, a)], a).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{label} is not {'inverse-closed' if no_inv[bad[0]] else 'closed'}")
 
     def act_gq(self, g, coset):
         """g . (xQ) in G/Q."""
         return int(self.gq_of[self.mul[g, self.gq_cosets[coset]]])
-
-    def act_hq(self, h, j):
-        """h . (xQ) for h in H, x in H: stays inside H/Q."""
-        c = self.act_gq(h, self.hq_cosets[j])
-        return self.hq_index[c]
 
 
 def preset_model(name):
@@ -214,8 +212,10 @@ def preset_model(name):
 
 
 class WeightedQuotient:
-    """Positive rational weights on H/Q summing to one, with the derived
-    quasi-invariance cocycle lambda_y(x) = w(y x)/w(x)."""
+    """Positive rational weights ``w`` on H/Q summing to one, with the
+    derived quasi-invariance cocycle as a table: ``lam[y, j]`` is
+    lambda_y(x_j) = w(y x_j)/w(x_j) for y in H (its rows outside H are
+    meaningless)."""
 
     def __init__(self, model, weights=None):
         self.model = model
@@ -229,11 +229,8 @@ class WeightedQuotient:
             raise ValueError("weights must be positive")
         if sum(weights) != 1:
             raise ValueError("weights must sum to 1 exactly")
-        self.w = weights
-
-    def lam(self, y, j):
-        """lambda_y(x) = w(y x)/w(x) for y in H, x the j-th coset of H/Q."""
-        return self.w[self.model.act_hq(y, j)] / self.w[j]
+        self.w = np.array(weights, dtype=object)
+        self.lam = self.w[model.hq_act] / self.w
 
 
 @dataclass
@@ -243,7 +240,6 @@ class FiberedSpace:
     model: FiniteGroupModel
     n: int
     tuples: list
-    index: dict
     nu: list
 
     def face(self, tup, i):
@@ -260,37 +256,17 @@ def fibered_product(model, n, wq=None):
     with the pushforward of the uniform measure.
     """
     if n == 0:
-        tuples = [(c,) for c in range(len(model.gh_cosets))]
-        k = len(tuples)
-        return FiberedSpace(
-            model,
-            0,
-            tuples,
-            {t: i for i, t in enumerate(tuples)},
-            [Fraction(1, k)] * k,
-        )
-    w = wq.w if wq is not None else [Fraction(1, len(model.hq_cosets))] * len(
-        model.hq_cosets
-    )
-    tuples = []
-    index = {}
-    weights = {}
-    nG = model.n
-    hq = model.hq_cosets
-    for g in range(nG):
-        for combo in product(range(len(hq)), repeat=n):
-            tup = tuple(model.act_gq(g, hq[j]) for j in combo)
-            wt = Fraction(1, nG)
-            for j in combo:
-                wt *= w[j]
-            if tup in index:
-                weights[tup] += wt
-            else:
-                index[tup] = len(tuples)
-                tuples.append(tup)
-                weights[tup] = wt
-    nu = [weights[t] for t in tuples]
-    return FiberedSpace(model, n, tuples, index, nu)
+        k = len(model.gh_cosets)
+        return FiberedSpace(model, 0, [(c,) for c in range(k)], [Fraction(1, k)] * k)
+    w = (wq if wq is not None else WeightedQuotient(model)).w
+    combos = np.array(list(product(range(len(w)), repeat=n)))
+    # the orbit map, g-major, and the mass of each (g, combo)
+    tuples = map(tuple, model.T[:, combos].reshape(-1, n).tolist())
+    masses = np.tile(np.prod(w[combos], axis=1) / model.n, model.n)
+    nu = {}
+    for tup, mass in zip(tuples, masses):
+        nu[tup] = nu.get(tup, 0) + mass
+    return FiberedSpace(model, n, list(nu), list(nu.values()))
 
 
 def differential_d(space_n, space_np1, f):
@@ -326,26 +302,15 @@ def differential_group_picture(model, f, n):
     """Differential in the G x (H/Q)^n picture with face signs (-1)^{i-1}.
 
     ``f`` is an object ndarray of shape (|G|,) + (|H/Q|,)*n of Fractions;
-    the result has one more H/Q axis.  For n = 0 the new coordinate is
-    simply ignored (pullback through the projection).
+    the result has one more H/Q axis.  Face i is ``f`` broadcast along a
+    new axis in slot i; for n = 0 that is the pullback through the
+    projection.
     """
-    k = len(model.hq_cosets)
-    shape = (model.n,) + (k,) * (n + 1)
-    out = np.empty(shape, dtype=object)
-    if n == 0:
-        for g in range(model.n):
-            out[g, ...] = f[g]
-        return out
-    it = np.ndindex(*shape[1:])
-    for idx in it:
-        sign = 1
-        acc = None
-        for i in range(n + 1):
-            sub = idx[:i] + idx[i + 1 :]
-            term = f[(slice(None),) + sub]
-            acc = term * sign if acc is None else acc + term * sign
-            sign = -sign
-        out[(slice(None),) + idx] = acc
+    shape = (model.n,) + (len(model.hq_cosets),) * (n + 1)
+    out = np.broadcast_to(np.expand_dims(f, 1), shape).copy()
+    for i in range(1, n + 1):
+        term = np.expand_dims(f, i + 1)
+        out = out - term if i % 2 else out + term
     return out
 
 
@@ -353,19 +318,18 @@ def bruhat_beta(model, values=None):
     """Nonnegative beta on G with sum_{h in H} beta(g h) = 1 for every g.
 
     Defaults to the constant 1/|H|.  Custom nonnegative rational values
-    are validated exactly.
+    are validated exactly.  Returns an object array of Fractions.
     """
     if values is None:
         values = [Fraction(1, len(model.H))] * model.n
-    values = [Fraction(v) for v in values]
+    values = np.array([Fraction(v) for v in values], dtype=object)
     if len(values) != model.n:
         raise ValueError("beta must be defined on all of G")
-    if any(v < 0 for v in values):
+    if np.any(values < 0):
         raise ValueError("beta must be nonnegative")
-    for g in range(model.n):
-        total = sum(values[model.mul[g, h]] for h in model.H)
-        if total != 1:
-            raise ValueError(f"beta rows must sum to 1; failed at element {g}")
+    bad = np.flatnonzero(values[model.mul[:, list(model.H)]].sum(axis=1) != 1)
+    if bad.size:
+        raise ValueError(f"beta rows must sum to 1; failed at element {bad[0]}")
     return values
 
 
@@ -376,31 +340,17 @@ def psi_kernel(model, beta, wq):
     (2) sum_x psi(g, x) w(x) = 1; (3) psi > 0.  Any failure names the
     property (it indicates invalid weights or beta).
     """
-    k = len(model.hq_cosets)
-    psi = np.empty((model.n, k), dtype=object)
     H = sorted(model.H)
-    for g in range(model.n):
-        for j in range(k):
-            acc = Fraction(0)
-            for h in H:
-                hinv = int(model.inv[h])
-                acc += beta[model.mul[g, h]] * wq.lam(hinv, j)
-            psi[g, j] = acc
-    for g in range(model.n):
-        for j in range(k):
-            if psi[g, j] <= 0:
-                raise ValueError("psi property (3) failed: kernel not positive")
-    for g in range(model.n):
-        total = sum(psi[g, j] * wq.w[j] for j in range(k))
-        if total != 1:
-            raise ValueError("psi property (2) failed: kernel mass is not 1")
-    for g in range(model.n):
-        for h in H:
-            ghinv = int(model.mul[g, model.inv[h]])
-            for j in range(k):
-                hj = model.act_hq(h, j)
-                if psi[ghinv, hj] * wq.lam(h, j) != psi[g, j]:
-                    raise ValueError("psi property (1) failed: cocycle identity")
+    hinv = model.inv[H]
+    psi = beta[model.mul[:, H]] @ wq.lam[hinv]
+    if not np.all(psi > 0):
+        raise ValueError("psi property (3) failed: kernel not positive")
+    if np.any(psi @ wq.w != 1):
+        raise ValueError("psi property (2) failed: kernel mass is not 1")
+    # psi(g h^-1, h x_j) lambda_h(x_j), indexed [g, h, j]
+    moved = psi[model.mul[:, hinv][:, :, None], model.hq_act[H]] * wq.lam[H]
+    if np.any(moved != psi[:, None, :]):
+        raise ValueError("psi property (1) failed: cocycle identity")
     return psi
 
 
@@ -412,16 +362,7 @@ def homotopy_h(model, psi, wq, f, n):
     Norm-nonincreasing and H-equivariant; with the (-1)^{i-1} face signs of
     the differential the identity h_n d_n + d_{n-1} h_{n-1} = Id is exact.
     """
-    k = len(model.hq_cosets)
-    shape = (model.n,) + (k,) * n
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape[1:]):
-        acc = None
-        for x in range(k):
-            term = psi[:, x] * f[(slice(None), x) + idx] * wq.w[x]
-            acc = term if acc is None else acc + term
-        out[(slice(None),) + idx] = acc
-    return out
+    return ((psi * wq.w).reshape(psi.shape + (1,) * n) * f).sum(axis=1)
 
 
 def homotopy_identity_holds(model, psi, wq, n, rng):
@@ -442,32 +383,18 @@ def transfer_tau(space, L, f):
     (verified exactly).
     """
     model = space.model
-    L = frozenset(int(x) for x in L)
-    model._verify_subgroup(L, "L")
-    for tup in space.tuples:
-        for l in L:
-            moved = tuple(model.act_gq(l, c) for c in tup) if space.n else _act_gh(
-                model, l, tup
-            )
-            if f[moved] != f[tup]:
-                raise ValueError("function is not L-invariant")
+    L = model._subgroup(L, "L")
+
+    def moved(g, tup):
+        if space.n:
+            return tuple(model.act_gq(g, c) for c in tup)
+        return (int(model.gh_of[model.mul[g, model.gh_cosets[tup[0]]]]),)
+
+    if any(f[moved(l, tup)] != f[tup] for tup in space.tuples for l in L):
+        raise ValueError("function is not L-invariant")
     reps, _ = _coset_table(model.mul.T, L)  # the right cosets Lg
     count = Fraction(1, len(reps))
-    out = {}
-    for tup in space.tuples:
-        acc = Fraction(0)
-        for g in reps:
-            moved = tuple(model.act_gq(g, c) for c in tup) if space.n else _act_gh(
-                model, g, tup
-            )
-            acc += f[moved]
-        out[tup] = acc * count
-    return out
-
-
-def _act_gh(model, g, tup):
-    c = tup[0]
-    return (int(model.gh_of[model.mul[g, model.gh_cosets[c]]]),)
+    return {tup: sum((f[moved(g, tup)] for g in reps), Fraction(0)) * count for tup in space.tuples}
 
 
 def random_rational_function(space_or_shape, rng, lo=-9, hi=9, den=9):
@@ -477,26 +404,14 @@ def random_rational_function(space_or_shape, rng, lo=-9, hi=9, den=9):
             t: Fraction(int(rng.integers(lo, hi + 1)), int(rng.integers(1, den + 1)))
             for t in space_or_shape.tuples
         }
-    arr = np.empty(space_or_shape, dtype=object)
-    for idx in np.ndindex(*space_or_shape):
-        arr[idx] = Fraction(int(rng.integers(lo, hi + 1)), int(rng.integers(1, den + 1)))
-    return arr
+    nums = rng.integers(lo, hi + 1, size=space_or_shape).astype(object)
+    dens = rng.integers(1, den + 1, size=space_or_shape).astype(object)
+    return np.frompyfunc(Fraction, 2, 1)(nums, dens)
 
 
 def h_invariant_function(model, n, rng):
-    """Random H-invariant function on G x (H/Q)^n (average over H, exact)."""
-    k = len(model.hq_cosets)
-    shape = (model.n,) + (k,) * n
-    raw = random_rational_function(shape, rng)
-    out = np.empty(shape, dtype=object)
-    H = sorted(model.H)
-    for g in range(model.n):
-        for idx in np.ndindex(*shape[1:]):
-            acc = Fraction(0)
-            for h in H:
-                gh = int(model.mul[g, h])
-                hinv = int(model.inv[h])
-                moved = tuple(model.act_hq(hinv, j) for j in idx)
-                acc += raw[(gh,) + moved]
-            out[(g,) + idx] = acc / len(H)
-    return out
+    """Random H-invariant function on G x (H/Q)^n, exact: the average over
+    h in H of raw(g h, h^-1 x_1, .., h^-1 x_n) for a random raw."""
+    raw = random_rational_function((model.n,) + (len(model.hq_cosets),) * n, rng)
+    moved = (np.ix_(model.mul[:, h], *[model.hq_act[model.inv[h]]] * n) for h in sorted(model.H))
+    return sum(raw[ix] for ix in moved) / len(model.H)

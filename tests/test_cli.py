@@ -160,6 +160,14 @@ BAD_INPUTS = {
         ["finite-model", "--table"],
         lambda pts: {"mul": [[0, 1], [1, 0]], "H": [0, 1], "Q": [0.0]},
     ),
+    "finite-model-table-not-associative": (
+        ["finite-model", "--table"],
+        lambda pts: {
+            "mul": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+            "H": [0],
+            "Q": [0],
+        },
+    ),
     "delta-form-10-samples": (["delta-form", "--samples", "10"], None),
     "delta-form-0-samples": (["delta-form", "--samples", "0"], None),
 }

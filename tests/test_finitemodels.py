@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 import chaingeo.finitemodels as fm
+
+import finitemodel_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +74,7 @@ def test_weighted_quotient_validation(s3):
         for y2 in s3.H:
             y12 = int(s3.mul[y1, y2])
             for j in range(2):
-                assert wq.lam(y12, j) == wq.lam(y1, s3.act_hq(y2, j)) * wq.lam(y2, j)
+                assert wq.lam[y12, j] == wq.lam[y1, s3.hq_act[y2, j]] * wq.lam[y2, j]
 
 
 def test_differential_constant_and_dd_zero(s3, rng):
@@ -105,22 +108,40 @@ def test_differential_preserves_invariance(s3, rng):
             assert df[moved] == df[t]
 
 
+def _coset_beta(model):
+    """A valid beta that is not constant: on each left coset gH, weights
+    proportional to 1..|H| in the order of the element indices."""
+    m = len(model.H)
+    beta = [None] * model.n
+    for c in model.gh_cosets:
+        for i, x in enumerate(sorted(int(model.mul[c, h]) for h in model.H)):
+            beta[x] = Fraction(2 * (i + 1), m * (m + 1))
+    return beta
+
+
 def test_bruhat_beta_default_and_validation(s3):
-    beta = fm.bruhat_beta(s3)
-    assert all(b == Fraction(1, 6) * 3 for b in beta) or all(
-        b == Fraction(1, len(s3.H)) for b in beta
-    )
-    bad = [Fraction(0)] * s3.n
-    with pytest.raises(ValueError):
-        fm.bruhat_beta(s3, bad)
-    # discrete-topology translate differences vanish identically at g0 = e
-    g0 = s3.identity
-    for g in range(s3.n):
-        diff = sum(
-            abs(beta[s3.mul[g0, s3.mul[g, h]] if False else s3.mul[g, h]] - beta[s3.mul[g, h]])
-            for h in s3.H
-        )
-        assert diff == 0
+    default = fm.bruhat_beta(s3)
+    assert len(default) == s3.n
+    assert all(type(b) is Fraction and b == Fraction(1, len(s3.H)) for b in default)
+    varied = _coset_beta(s3)
+    assert len(set(varied)) > 1
+    assert list(fm.bruhat_beta(s3, varied)) == varied
+    # moving mass onto one element breaks the rows of its coset xH, and the
+    # error names the least element of that coset
+    x = s3.n - 1
+    off = list(varied)
+    off[x] += Fraction(1, 7)
+    first = min(int(s3.mul[x, h]) for h in s3.H)
+    with pytest.raises(ValueError, match=f"rows must sum to 1; failed at element {first}$"):
+        fm.bruhat_beta(s3, off)
+    with pytest.raises(ValueError, match="failed at element 0$"):
+        fm.bruhat_beta(s3, [Fraction(0)] * s3.n)
+    # rows summing to 1 with a negative entry
+    a, b = sorted(int(s3.mul[x, h]) for h in s3.H)
+    negative = [Fraction(1, 2)] * s3.n
+    negative[a], negative[b] = Fraction(3, 2), Fraction(-1, 2)
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        fm.bruhat_beta(s3, negative)
 
 
 def test_psi_uniform_weights_is_one(s3):
@@ -176,7 +197,7 @@ def test_homotopy_equivariance_on_invariants(s3, rng):
             gh = int(s3.mul[g, h])
             hinv = int(s3.inv[h])
             for j in range(len(s3.hq_cosets)):
-                assert hf[gh, s3.act_hq(hinv, j)] == hf[g, j]
+                assert hf[gh, s3.hq_act[hinv, j]] == hf[g, j]
 
 
 def test_resolution_primitive_for_cocycles(s3, rng):
@@ -254,6 +275,8 @@ def test_transfer_rejects_noninvariant(s3, rng):
     f = fm.random_rational_function(s_2, rng)
     with pytest.raises(ValueError):
         fm.transfer_tau(s_2, s3.H, f)
+    with pytest.raises(ValueError, match="L must list integers in range"):
+        fm.transfer_tau(s_2, {0, 1, 7}, f)
 
 
 def test_group_order_bound():
@@ -287,3 +310,74 @@ def test_orbit_map_equivariance(s3, rng):
         gh = int(s3.mul[g, h])
         rhs = tuple(s3.act_gq(gh, x) for x in xs)
         assert lhs == rhs
+
+
+# an order-5 loop: 0 is a two-sided identity and every element is its own
+# two-sided inverse, but 36 of its 125 triples are not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def _loop_times_z13():
+    """The direct product LOOP5 x Z13, an order-65 table whose
+    associativity is checked on sampled triples."""
+    a, b = np.divmod(np.arange(65), 13)
+    return np.array(LOOP5)[a[:, None], a] * 13 + (b[:, None] + b) % 13
+
+
+def _s3_subgroup_case(H, Q):
+    index, mul = fm._perm_group(list(permutations(range(3))))
+    return mul, {index[p] for p in H}, {index[p] for p in Q}
+
+
+E, T01, T12, C = (0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0)
+
+INVALID_MODELS = {
+    "no-identity": (lambda: ([[0, 0], [0, 0]], {0}, {0}), "no identity element"),
+    "no-inverse": (lambda: ([[0, 1], [1, 1]], {0}, {0}), "inverses are not well defined"),
+    "not-associative": (lambda: (LOOP5, {0}, {0}), "not associative"),
+    "not-associative-sampled": (lambda: (_loop_times_z13(), {0}, {0}), "not associative"),
+    "H-misses-identity": (lambda: _s3_subgroup_case([T01], [E]), "H misses the identity"),
+    "H-not-inverse-closed": (lambda: _s3_subgroup_case([E, C], [E]), "H is not inverse-closed"),
+    "H-not-closed": (lambda: _s3_subgroup_case([E, T01, T12], [E]), "H is not closed"),
+    "Q-not-in-H": (lambda: _s3_subgroup_case([E, T01], [E, T12]), "Q must be contained in H"),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_MODELS))
+def test_group_model_validation_messages(case):
+    build, message = INVALID_MODELS[case]
+    mul, H, Q = build()
+    if case == "not-associative-sampled":
+        assert len(mul) > 64
+    with pytest.raises(ValueError, match=message):
+        fm.FiniteGroupModel(mul, H, Q)
+
+
+ORACLE_WEIGHTS = {
+    "S3": [Fraction(1, 3), Fraction(2, 3)],
+    "S4": [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)],
+    "D4": [Fraction(1, 4), Fraction(3, 4)],
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
+def test_array_maps_equal_loop_oracle(name):
+    # psi, d, h and the H-average against their elementwise loops, exactly,
+    # with non-uniform weights and a non-constant beta
+    model = fm.preset_model(name)
+    wq = fm.WeightedQuotient(model, ORACLE_WEIGHTS[name])
+    beta = fm.bruhat_beta(model, _coset_beta(model))
+    psi = fm.psi_kernel(model, beta, wq)
+    assert np.array_equal(psi, oracle.psi_kernel(model, beta, list(wq.w)))
+    k = len(model.hq_cosets)
+    rng = np.random.default_rng(7)
+    for n in range(4):
+        f = fm.random_rational_function((model.n,) + (k,) * n, rng)
+        d = fm.differential_group_picture(model, f, n)
+        assert np.array_equal(d, oracle.differential(model, f, n))
+        f1 = fm.random_rational_function((model.n,) + (k,) * (n + 1), rng)
+        h = fm.homotopy_h(model, psi, wq, f1, n)
+        assert np.array_equal(h, oracle.homotopy(model, psi, list(wq.w), f1, n))
+        avg = fm.h_invariant_function(model, n, np.random.default_rng(n))
+        raw = fm.random_rational_function((model.n,) + (k,) * n, np.random.default_rng(n))
+        assert np.array_equal(avg, oracle.h_average(model, raw, n))

@@ -208,6 +208,28 @@ def test_kahler_antisymmetry_and_positivity(plane2, rng):
     assert_allclose(om_uv, -om_vu, rtol=1e-12)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_kahler_sign_against_small_triangle_area(p, rng):
+    # a geodesic triangle spanned by eps u and eps v has signed area
+    # (eps^2 / 2) omega(u, v) + O(eps^4), so the holonomy closed form fixes
+    # the sign of omega; omega(u, Ju) = g(u, u) ties it to the metric
+    model = HermitianModel(p)
+    x = random_interior(model, rng)
+
+    def unit(w):
+        return tangent(model, x, w.components / np.sqrt(metric_and_kahler(model, x, w, w)[0]))
+
+    u, v = (unit(random_tangent(model, rng, x)) for _ in range(2))
+    eps = 1e-3
+    y, z = (exp_map(model, x, tangent(model, x, eps * w.components)) for w in (u, v))
+    _, omega = metric_and_kahler(model, x, u, v)
+    area = triangle_area(model, x, y, z).value
+    assert abs(area / (eps**2 / 2) - omega) <= 1e-4 * abs(omega)
+    g_uu, _ = metric_and_kahler(model, x, u, u)
+    _, omega_u_ju = metric_and_kahler(model, x, u, tangent(model, x, 1j * u.components))
+    assert_allclose(omega_u_ju, g_uu, rtol=1e-12)
+
+
 def test_base_mismatch_rejected(plane2, rng):
     x = random_interior(plane2, rng)
     y = random_interior(plane2, rng)

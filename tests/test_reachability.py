@@ -45,7 +45,6 @@ ALLOWLIST = {
     "finitemodels.differential_d": "appendix map: the differential of the fibered picture",
     "finitemodels.transfer_tau": "appendix map: the transfer map",
     "finitemodels.h_invariant_function": "appendix map: H-invariant functions of the group picture",
-    "finitemodels._act_gh": "helper of transfer_tau: the action on G/H",
     "finitemodels.FiberedSpace.face": "appendix map: a face of the fibered complex",
     # read by the benchmark, which this repository keeps unchanged until a
     # benchmark change moves them out
