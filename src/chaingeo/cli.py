@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -325,8 +326,10 @@ def _cmd_verify(args):
             raise SystemExit(f"unknown criteria: {unknown}")
     results = {}
     for k in keys:
+        start = time.perf_counter()
         results[k] = res = ALL_CRITERIA[k]()
-        sys.stderr.write(f"[{'PASS' if res['passed'] else 'FAIL'}] {res['name']}\n")
+        wall = time.perf_counter() - start
+        sys.stderr.write(f"[{'PASS' if res['passed'] else 'FAIL'}] {res['name']} ({wall:.2f} s)\n")
     payload = verify_payload(results, seed)
     _emit(payload, args.out)
     return 0 if payload["passed"] else 2

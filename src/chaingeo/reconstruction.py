@@ -4,12 +4,15 @@ A boundary map that carries chains to chains with matching orientation and
 generic triples to generic triples is, at desk scale, the boundary trace
 of an isometric holomorphic embedding.
 
-The compatibility gate mines co-chain triples from the samples.  All
-random source pairs are drawn at once and tested in draw order, a block at
-a time: a sample's distance from a pair's chain is a bilinear form in the
-outer product of its unit lift, so one real matrix product per block rules
-out the far samples, and one stacked span test decides the rest when they
-could complete the count.  The report matches the pair-by-pair loop's.
+A sampled map holds the arrays of its source and target lifts.  The
+compatibility gate mines co-chain triples from the samples.  All random
+source pairs are drawn at once and tested in draw order, a block at a
+time: |<v, z>|^2 is the dot product of d^2 real features of v and of z, so
+a sample's distance from a pair's chain is linear in its features, and one
+float32 product of the pairs' rows with the samples' feature table per
+block rules out the far samples.  One stacked span test decides the rest
+when they could complete the count.  The report matches the pair-by-pair
+loop's.
 
 The fit proceeds in three stages: a projective direct linear solve (each
 sample constrains W xi to the line of its target), an alternation of
@@ -23,7 +26,7 @@ spoil the model; the per-sample residual report identifies the outliers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -45,29 +48,26 @@ class NoRigidModelError(RuntimeError):
     """The sampled map is not of embedding type (residual plateau)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class BoundarySampleMap:
-    """Sampled boundary correspondence: pairs (xi in dH^p, eta in dH^q)."""
+    """Sampled boundary correspondence from pairs (xi in dH^p, eta in dH^q),
+    kept as the (n, p+1) and (n, q+1) arrays of their canonical lifts."""
 
-    pairs: list
+    pairs: InitVar[list]
     p: int
     q: int
+    source_lifts: np.ndarray = field(init=False)
+    target_lifts: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, pairs):
         need = max(20, 4 * (self.p + 1) * (self.q + 1))
-        if len(self.pairs) < need:
-            raise ValueError(f"need at least {need} sample pairs, got {len(self.pairs)}")
-        for xi, eta in self.pairs:
+        if len(pairs) < need:
+            raise ValueError(f"need at least {need} sample pairs, got {len(pairs)}")
+        for xi, eta in pairs:
             if not (xi.is_boundary and eta.is_boundary):
                 raise ValueError("sample pairs must consist of boundary points")
-
-    @property
-    def source_lifts(self):
-        return np.stack([xi.lift for xi, _ in self.pairs])
-
-    @property
-    def target_lifts(self):
-        return np.stack([eta.lift for _, eta in self.pairs])
+        self.source_lifts = np.stack([xi.lift for xi, _ in pairs])
+        self.target_lifts = np.stack([eta.lift for _, eta in pairs])
 
 
 @dataclass
@@ -98,47 +98,54 @@ class CompatibilityReport:
 
 
 # pairs prefiltered per block of the co-chain mining loop; the mined triples
-# do not depend on it.  On the perfbench reconstruct op list at seed 1, 256
-# gave 48.6 MB peak RSS and 81 ops/s, 1024 gave 50.2 MB and 88 ops/s
-_MINING_BLOCK = 256
+# do not depend on it.  A check of the perfbench reconstruct maps (seed 1)
+# took 4.11, 4.35, 4.74 ms at 1024, 512, 256, tracing 1.10, 0.62, 0.53 MiB
+_MINING_BLOCK = 1024
 # a pair of unit lifts with h = 1 - |<a, b>|^2 below this keeps every lift for
-# the exact test: the prefilter finds h r^2, so its rounding error in r^2 grows as 1/h
+# the exact test; above it the float64 rows of ``_pair_rows`` err by ~10 eps/h
 _NEAR_PAIR = 1e-4
-# the prefilter rules a lift out only when its squared residual exceeds
-# tol^2 by this much; away from near pairs its rounding error is below 1e-10
-_GRAM_SLACK = 1e-8
 
 
-def _real_outer(x, y):
-    """Rows [Re P, Im P] of the outer products P = x y^* (last axis), so
-    that the dot product of two rows is Re tr(P^* R)."""
-    P = x[:, :, None] * y.conj()[:, None, :]
-    return np.concatenate([P.real, P.imag], axis=1).reshape(len(P), -1)
+def _features(v):
+    """Columns psi(v) = [|v_i|^2, sqrt2 Re(conj(v_i) v_j), sqrt2 Im(conj(v_i) v_j)]
+    over i < j of the lifts v (first axis): psi(v) . psi(z) = |<v, z>|^2."""
+    c = np.sqrt(2.0) * np.concatenate([v[:-k].conj() * v[k:] for k in range(1, len(v))])
+    return np.concatenate([v.real**2 + v.imag**2, c.real, c.imag])
 
 
-def _candidates(unit, table, pairs, tol):
-    """(t, z): in draw order, the samples z other than a and b that may lie
-    on the chain through row t = (a, b), a != b, of ``pairs``; no others do.
-
-    ``unit`` holds the unit lifts u and ``table`` is
-    ``_real_outer(unit, unit).T``.  With g = <u_a, u_b> and h = 1 - |g|^2,
-    the squared distance r^2 of u_z from the span of u_a and u_b obeys
-
-        h - h r^2 = Re tr(P_ab^* u_z u_z^*),  P_ab = u_a u_a^* + u_b (u_b - 2 g u_a)^*,
-
-    so one real product of the P rows with ``table`` rules out the lifts
-    beyond tol^2 + _GRAM_SLACK, none for a near pair (h < _NEAR_PAIR).
-    """
+def _pair_rows(units, table, pairs):
+    """float32 rows R of ``pairs`` (a, b) with R . psi(u_z) = 1 - r^2, r the
+    distance of the unit lift u_z (column z of ``units``) from the span of
+    u_a and u_b: with g = <u_a, u_b>, h = 1 - |g|^2 and w = u_b - g u_a,
+    R = psi(u_a) + psi(w) / h, a column of ``table`` (``_features(units)``)
+    plus the features of w / sqrt(h).  A near pair (h < _NEAR_PAIR) has 2
+    on the |z_i|^2 columns and keeps every lift; a == b gives 0, none."""
     a, b = pairs.T
-    ua, ub = unit[a], unit[b]
-    g = np.vecdot(ua, ub)[:, None]
+    ua, ub = units.take(a, axis=1), units.take(b, axis=1)
+    g = sum(ua.conj() * ub)  # over the d rows, faster than a complex reduce
     h = 1.0 - (g.real**2 + g.imag**2)
-    P = _real_outer(ua, ua) + _real_outer(ub, ub - 2 * g * ua)
-    cand = (h < _NEAR_PAIR) | (P @ table >= h * (1.0 - tol**2 - _GRAM_SLACK))
-    rows = np.arange(len(pairs))
-    cand[rows, a] = cand[rows, b] = False
-    cand[a == b] = False
-    return np.divmod(np.flatnonzero(cand), len(unit))
+    s = 1.0 / np.sqrt(np.maximum(h, _NEAR_PAIR))
+    R = table.take(a, axis=1) + _features(ub * s - ua * (g * s))
+    R[:, h < _NEAR_PAIR] = np.repeat([2.0, 0.0], [len(ua), len(R) - len(ua)])[:, None]
+    R[:, a == b] = 0.0
+    return R.T.astype(np.float32)
+
+
+def _candidates(units, table, pairs, tol):
+    """(t, z): in draw order, the samples z other than a and b that may lie
+    on the chain through row t = (a, b) of ``pairs``; no others do.
+
+    One float32 product of the ``_pair_rows`` with the contiguous float32
+    ``table`` rules out the lifts with 1 - r^2 < 1 - tol^2 - slack.  Rounding
+    psi(u_a), R (|R| <= 2) and psi(u_z) (norm 1) to float32, the d^2-term
+    product and the threshold err by at most (2 d^2 + 6) u = (d^2 + 3) eps32,
+    so slack = 4 (d^2 + 3) eps32 covers them, and R's float64 error, 4 times.
+    """
+    slack = 4 * (len(table) + 3) * np.finfo(np.float32).eps  # len(table) = d^2
+    cand = _pair_rows(units, table, pairs) @ table >= 1.0 - tol**2 - slack
+    t, z = np.divmod(np.flatnonzero(cand), units.shape[1])
+    keep = (z != pairs[t, 0]) & (z != pairs[t, 1])
+    return t[keep], z[keep]
 
 
 def _mine_cochain(rng, lifts, n_triples, tol):
@@ -151,20 +158,20 @@ def _mine_cochain(rng, lifts, n_triples, tol):
     once they could fill ``n_triples`` pairs, or after the last block.  Of
     the first ``n_triples`` pairs with members, one more call picks each k.
     """
-    unit = lifts / np.linalg.norm(lifts, axis=-1, keepdims=True)
-    table = _real_outer(unit, unit).T
+    units = np.ascontiguousarray(lifts.T) / np.linalg.norm(lifts, axis=-1)
+    table = _features(units).astype(np.float32)
     pairs = rng.integers(0, len(lifts), size=(20 * n_triples, 2))
     # rows (draw, i, j, k) of co-chain triples and of candidates, and their draws
     found, pending, rows = np.zeros((0, 4), dtype=int), [], 0
     for start in range(0, len(pairs), _MINING_BLOCK):
         block = pairs[start:start + _MINING_BLOCK]
-        t, z = _candidates(unit, table, block, tol)
+        t, z = _candidates(units, table, block, tol)
         pending.append(np.column_stack([start + t, block[t], z]))
-        rows += len(np.unique(t))
+        rows += np.count_nonzero(np.diff(t, prepend=-1))
         if rows >= n_triples or start + _MINING_BLOCK >= len(pairs):
             cand = np.concatenate(pending)
             found = np.concatenate([found, cand[_on_chain(lifts, cand[:, 1:], tol)]])
-            pending, rows = [], len(np.unique(found[:, 0]))
+            pending, rows = [], np.count_nonzero(np.diff(found[:, 0], prepend=-1))
             if rows >= n_triples:
                 break
     _, first, counts = np.unique(found[:, 0], return_index=True, return_counts=True)

@@ -7,13 +7,14 @@ an SVD basis, not the library's closed form.  The random draws
 are the three calls of ``reconstruction.chain_compatibility_check``, in
 its order: every mining pair, then one k per kept pair, then the generic
 triples.  So the two give equal reports.  A generic triple whose image
-pair is one point counts as a non-generic image.
+pair is one point counts as a non-generic image.  The points are rebuilt
+from the map's lift arrays.
 """
 
 import numpy as np
 
 from chaingeo.chains import cartan_triple_lifts, chain_through
-from chaingeo.hermitian import HermitianModel
+from chaingeo.hermitian import HermitianModel, ProjPoint
 from chaingeo.reconstruction import CompatibilityReport
 
 
@@ -27,13 +28,15 @@ def svd_in_span(span, lifts, tol):
 
 
 def planted_span_lifts(rng, p, tol, n=40):
-    """(L, planted): n unit lifts in C^{p+1} with planted ones.  L[1] and
-    L[2] make with L[0] a near pair (1 - |g|^2 ~ 1e-5) and a nearly
-    coincident pair (~1e-12).  ``planted`` maps the slots 3..8 to (pair,
-    inside) for a lift at 0.99 or 1.01 tol from the span of the regular
-    pair (10, 11), of (0, 1) and of (0, 2), inside being whether it lies
-    within tol.  At p = 1 two independent lifts span C^2, so every planted
-    lift lies in its span."""
+    """(L, planted): n unit lifts in C^{p+1} with planted ones.  L[1], L[2]
+    and L[12] make with L[0] a near pair (1 - |g|^2 ~ 1e-5), a nearly
+    coincident pair (~1e-12) and a pair just above the prefilter's near
+    bound (in [1.1e-4, 1.9e-4]).  ``planted`` maps the slots 3..9 and
+    13..15 to (pair, inside) for a lift at 0.99 or 1.01 tol from the span
+    of the regular pair (10, 11), of (0, 1), of (0, 2) and of (0, 12), and
+    at 0.999 tol from the span of (10, 11) and of (0, 12), inside being
+    whether it lies within tol.  At p = 1 two independent lifts span C^2,
+    so every planted lift lies in its span."""
 
     def unit(v):
         return v / np.linalg.norm(v)
@@ -44,27 +47,58 @@ def planted_span_lifts(rng, p, tol, n=40):
     L = np.array([unit(v) for v in gauss(n, p + 1)])
     L[1] = unit(L[0] + 3e-3 * unit(gauss(p + 1)))
     L[2] = unit(L[0] + 1e-6 * unit(gauss(p + 1)))
+    e = gauss(p + 1)
+    h = rng.uniform(1.1e-4, 1.9e-4)
+    L[12] = unit(L[0] + np.sqrt(h / (1 - h)) * unit(e - np.vdot(L[0], e) * L[0]))
     planted = {}
-    slot = 3
-    for pair in ((10, 11), (0, 1), (0, 2)):
+    slots = iter([3, 4, 5, 6, 7, 8, 9, 13, 14, 15])
+    for pair, factors in (
+        ((10, 11), (0.99, 0.999, 1.01)),
+        ((0, 1), (0.99, 1.01)),
+        ((0, 2), (0.99, 1.01)),
+        ((0, 12), (0.99, 0.999, 1.01)),
+    ):
         q = np.linalg.qr(L[list(pair)].T, mode="complete")[0]
-        for f in (0.99, 1.01):
+        for f in factors:
             eps = f * tol / np.sqrt(1.0 - (f * tol) ** 2)
             off = q[:, 2:] @ unit(gauss(p - 1)) if p > 1 else 0.0
+            slot = next(slots)
             L[slot] = unit(q[:, :2] @ unit(gauss(2)) + eps * off)
             planted[slot] = (pair, f < 1 or p == 1)
-            slot += 1
     return L, planted
+
+
+def gram_candidate_count(L, pairs, tol, slack=1e-8, near=1e-4):
+    """Candidates of a float64 prefilter: for each pair (a, b), a != b, of
+    the unit lifts of L, the other lifts z whose squared distance from
+    the span, r^2 = 1 - |E_az|^2 - |E_bz - conj(g) E_az|^2 / h from the
+    Gram table E of the unit lifts (g = E_ab, h = 1 - |g|^2), is at most
+    tol^2 + slack, and every other lift of a near pair (h < near)."""
+    u = L / np.linalg.norm(L, axis=-1, keepdims=True)
+    E = u.conj() @ u.T
+    count = 0
+    for a, b in pairs:
+        if a == b:
+            continue
+        g = E[a, b]
+        h = 1.0 - abs(g) ** 2
+        keep = np.ones(len(L), dtype=bool)
+        if h >= near:
+            r2 = 1.0 - abs(E[a]) ** 2 - abs(E[b] - g.conj() * E[a]) ** 2 / h
+            keep = r2 <= tol**2 + slack
+        keep[[a, b]] = False
+        count += int(keep.sum())
+    return count
 
 
 def compatibility_loop(sample_map, n_triples=300, seed=0, tol=1e-7):
     rng = np.random.default_rng(seed)
     model_p = HermitianModel(sample_map.p)
     model_q = HermitianModel(sample_map.q)
-    xs = [xi for xi, _ in sample_map.pairs]
-    ys = [eta for _, eta in sample_map.pairs]
-    n = len(xs)
     src = sample_map.source_lifts
+    xs = [ProjPoint(l, model=model_p, kind="boundary") for l in src]
+    ys = [ProjPoint(l, model=model_q, kind="boundary") for l in sample_map.target_lifts]
+    n = len(xs)
     mined = []
     for i, j in rng.integers(0, n, size=(n_triples * 20, 2)):
         if xs[i].same_point_as(xs[j]):

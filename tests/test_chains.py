@@ -152,17 +152,70 @@ def test_chain_membership_span_oracle(plane2):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_in_span_matches_svd_oracle(p):
     """The closed-form span test gives the SVD least-squares test's
-    booleans, alone and stacked, on a regular pair, a near pair and a
-    nearly coincident pair with lifts planted at 0.99 and 1.01 tol."""
+    booleans, alone and stacked, on a regular pair, a near pair, a nearly
+    coincident pair and a pair with 1 - |g|^2 in [1e-4, 2e-4] with lifts
+    planted at 0.99, 0.999 and 1.01 tol."""
     tol = 1e-7
     L, planted = planted_span_lifts(np.random.default_rng(p), p, tol)
-    pairs = [(10, 11), (0, 1), (0, 2), (1, 2), (5, 30)]
+    pairs = [(10, 11), (0, 1), (0, 2), (0, 12), (1, 2), (5, 30)]
     spans = np.stack([L[[a, b]].T for a, b in pairs])
     alone = np.stack([_in_span(span, L, tol) for span in spans])
     assert (alone == np.stack([svd_in_span(span, L, tol) for span in spans])).all()
     assert (_in_span(spans[:, None], L, tol) == alone).all()
     for z, (pair, inside) in planted.items():
         assert alone[pairs.index(pair), z] == inside
+
+
+def _long_double_basis(a, b):
+    """Orthonormal basis of the span of a and b: Gram-Schmidt twice in long double."""
+    a, b = a.astype(np.clongdouble), b.astype(np.clongdouble)
+    u1 = a / np.sqrt(np.vdot(a, a).real)
+    w = b - np.vdot(u1, b) * u1
+    w -= np.vdot(u1, w) * u1
+    return u1, w / np.sqrt(np.vdot(w, w).real)
+
+
+def test_in_span_decides_nearly_coincident_pair_as_long_double():
+    """At 1 - |<a, b>|^2 / |b|^2 ~ 1e-15 the span test decides lifts planted
+    in long double at (1 -+ 1e-5) tol from the span as a long-double
+    Gram-Schmidt reference does.  The entries of a are +-1/2 and +-i/2, so
+    u1 = a and b - <u1, b> u1 are exact; one pass leaves u2 a component
+    ~eps/sqrt(h) along u1, which lengthens the residuals of in-span lifts
+    by 1e-4 to 1e-3 of tol, and only the second pass removes it."""
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than double on this platform")
+    tol, d = 1e-7, 4
+    rng = np.random.default_rng(0)
+
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def ld_norm(v):
+        return np.sqrt((v * v.conj()).real.sum(axis=-1))
+
+    inside = np.repeat([True, False], 10)
+    for _ in range(4):
+        a = 0.5 * 1j ** rng.integers(4, size=d)
+        e = gauss(d)
+        e -= np.vdot(a, e) * a
+        b = rng.uniform(0.5, 2) * np.exp(2j * np.pi * rng.uniform()) * (a + 3.2e-8 * e / np.linalg.norm(e))
+        u1, u2 = _long_double_basis(a, b)
+        assert 5e-16 < 1 - abs(np.vdot(u1, b)) ** 2 / ld_norm(b.astype(np.clongdouble)) ** 2 < 2e-15
+        lifts = []
+        for f in np.where(inside, 1 - 1e-5, 1 + 1e-5):
+            c = gauss(2)
+            o = gauss(d).astype(np.clongdouble)
+            for _ in range(2):
+                o -= np.vdot(u1, o) * u1 + np.vdot(u2, o) * u2
+            v = c[0] * u1 + c[1] * u2
+            r = np.longdouble(f * tol)
+            lifts.append(v / ld_norm(v) + r / np.sqrt(1 - r * r) * o / ld_norm(o))
+        Z = np.array(lifts).astype(complex)
+        Zl = Z.astype(np.clongdouble)
+        res = Zl - (Zl @ u1.conj())[:, None] * u1 - (Zl @ u2.conj())[:, None] * u2
+        reference = ld_norm(res) <= tol * ld_norm(Zl)
+        assert (reference == inside).all()
+        assert (_in_span(np.column_stack([a, b]), Z, tol) == reference).all()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

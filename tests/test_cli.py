@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from chaingeo.serialization import (
     json_to_point,
     matrix_to_json,
     point_to_json,
+    vector_to_json,
 )
 from chaingeo.verify import _planted_sample_map
 
@@ -187,19 +189,20 @@ def test_cli_bad_input_is_an_error(case, tmp_path, capsys, plane2, rng):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
-def _samples_file(tmp_path, pairs):
+def _samples_file(tmp_path, src, tgt):
+    """A samples file of boundary points with the lifts src[i] -> tgt[i]."""
+    def point(lift):
+        return {"lift": vector_to_json(lift), "kind": "boundary"}
+
+    pairs = [[point(a), point(b)] for a, b in zip(src, tgt)]
     path = tmp_path / "samples.json"
-    path.write_text(
-        json.dumps(
-            {"p": 2, "q": 2, "pairs": [[point_to_json(a), point_to_json(b)] for a, b in pairs]}
-        )
-    )
+    path.write_text(json.dumps({"p": 2, "q": 2, "pairs": pairs}))
     return str(path)
 
 
 def test_cli_reconstruct_roundtrip(tmp_path, capsys, rng):
     smap, _, _ = _planted_sample_map(rng, 2, 2, 152)
-    code, data = run_cli(capsys, ["reconstruct", "--samples", _samples_file(tmp_path, smap.pairs)])
+    code, data = run_cli(capsys, ["reconstruct", "--samples", _samples_file(tmp_path, smap.source_lifts, smap.target_lifts)])
     assert code == 0
     assert data["fit"]["rejected"] is False
     assert data["fit"]["fraction_verified"] == 1.0
@@ -207,16 +210,16 @@ def test_cli_reconstruct_roundtrip(tmp_path, capsys, rng):
 
 def test_cli_reconstruct_rejects_scramble(tmp_path, capsys, rng):
     smap, _, _ = _planted_sample_map(rng, 2, 2, 152, scramble=True)
-    code, data = run_cli(capsys, ["reconstruct", "--samples", _samples_file(tmp_path, smap.pairs)])
+    code, data = run_cli(capsys, ["reconstruct", "--samples", _samples_file(tmp_path, smap.source_lifts, smap.target_lifts)])
     assert code == 2
     assert data["fit"]["rejected"] is True
 
 
 def test_cli_reconstruct_rejects_collapsed_map(tmp_path, capsys, rng):
     smap, _, _ = _planted_sample_map(rng, 2, 2, 152)
-    first = smap.pairs[0][1]
-    pairs = [(x, first) for x, _ in smap.pairs]
-    code, data = run_cli(capsys, ["reconstruct", "--samples", _samples_file(tmp_path, pairs)])
+    collapsed = np.broadcast_to(smap.target_lifts[0], smap.target_lifts.shape)
+    samples = _samples_file(tmp_path, smap.source_lifts, collapsed)
+    code, data = run_cli(capsys, ["reconstruct", "--samples", samples])
     assert code == 2
     assert data["fit"]["rejected"] is True
     assert data["compatibility"]["image_cochain_fraction"] == 0.0
@@ -246,6 +249,19 @@ def test_cli_verify_subset(capsys):
     code, data = run_cli(capsys, ["verify", "--suite", "fibered-counting"])
     assert code == 0
     assert data["passed"] is True
+
+
+def test_cli_verify_status_line_reports_wall_time(capsys):
+    """Each criterion's stderr status line ends with its wall time in
+    seconds, two decimals; stdout carries the payload alone."""
+    code = main(["verify", "--suite", "fibered-counting,affine-recovery"])
+    out, err = capsys.readouterr()
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert re.fullmatch(
+        r"\[PASS\] fibered product counting \(\d+\.\d\d s\)\n"
+        r"\[PASS\] planted affine recovery \(\d+\.\d\d s\)\n",
+        err,
+    )
 
 
 def test_cli_malformed_input(tmp_path, capsys):

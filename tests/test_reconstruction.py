@@ -8,6 +8,7 @@ from chaingeo import (
     BoundarySampleMap,
     HermitianModel,
     NoRigidModelError,
+    ProjPoint,
     chain_compatibility_check,
     fit_embedding,
     random_isometry,
@@ -18,15 +19,21 @@ from chaingeo import reconstruction
 from chaingeo.chains import _in_span, cartan_triple_lifts
 from chaingeo.isometries import _form_residual
 from chaingeo.reconstruction import (
+    _NEAR_PAIR,
     CompatibilityReport,
     _candidates,
+    _features,
     _isometry_project,
     _on_chain,
-    _real_outer,
+    _pair_rows,
 )
 from chaingeo.verify import _planted_sample_map
 
-from compat_oracle import compatibility_loop, planted_span_lifts
+from compat_oracle import compatibility_loop, gram_candidate_count, planted_span_lifts, svd_in_span
+
+
+def _points(lifts, p):
+    return [ProjPoint(l, model=HermitianModel(p), kind="boundary") for l in lifts]
 
 
 def test_sample_map_minimum_count(plane2, rng):
@@ -37,6 +44,24 @@ def test_sample_map_minimum_count(plane2, rng):
     ]
     with pytest.raises(ValueError):
         BoundarySampleMap(pairs=pairs, p=2, q=2)
+
+
+def test_sample_map_keeps_only_lift_arrays(rng):
+    """A map holds its (n, p+1) and (n, q+1) lift arrays, equal byte for
+    byte to its points' lifts, and no point; its two validation errors
+    keep their messages."""
+    smap = _planted_sample_map(rng, 2, 3, 152)[0]
+    src, tgt = _points(smap.source_lifts, 2), _points(smap.target_lifts, 3)
+    again = BoundarySampleMap(pairs=list(zip(src, tgt)), p=2, q=3)
+    assert vars(again).keys() == {"p", "q", "source_lifts", "target_lifts"}
+    assert again.source_lifts.shape == (200, 3) and again.target_lifts.shape == (200, 4)
+    assert again.source_lifts.tobytes() == np.stack([x.lift for x in src]).tobytes()
+    assert again.target_lifts.tobytes() == np.stack([y.lift for y in tgt]).tobytes()
+    with pytest.raises(ValueError, match=r"^need at least 48 sample pairs, got 47$"):
+        BoundarySampleMap(pairs=list(zip(src, tgt))[:47], p=2, q=3)
+    inner = ProjPoint(np.array([0.1, 0.2, 0.3, 1.0]), model=HermitianModel(3))
+    with pytest.raises(ValueError, match=r"^sample pairs must consist of boundary points$"):
+        BoundarySampleMap(pairs=list(zip(src, tgt[:-1] + [inner])), p=2, q=3)
 
 
 def test_compatibility_planted(rng):
@@ -65,9 +90,10 @@ def test_compatibility_report_pinned():
 
 def _collapsed(smap, every=1):
     """The map sending every ``every``-th source sample to the first target."""
-    first = smap.pairs[0][1]
-    pairs = [(x, first if n % every == 0 else y) for n, (x, y) in enumerate(smap.pairs)]
-    return BoundarySampleMap(pairs=pairs, p=smap.p, q=smap.q)
+    tgt = smap.target_lifts.copy()
+    tgt[::every] = tgt[0]
+    pairs = zip(_points(smap.source_lifts, smap.p), _points(tgt, smap.q))
+    return BoundarySampleMap(pairs=list(pairs), p=smap.p, q=smap.q)
 
 
 _ORACLE_MAPS = {
@@ -117,30 +143,41 @@ def test_mining_block_size_leaves_report(name, monkeypatch):
 
 
 def test_span_members_match_in_span():
-    """The bilinear prefilter of ``_candidates`` drops no lift that
-    ``_in_span`` accepts, and ``_on_chain`` on the candidates of all pairs
-    in one stacked call finds them, for a regular pair, a near pair
-    (1 - |g|^2 ~ 1e-5) and a nearly coincident pair (~1e-12), each with
-    lifts at 0.99 and 1.01 tol from its span."""
+    """The float32 prefilter of ``_candidates`` keeps every lift that the
+    SVD test accepts, with fewer than twice the candidates of a float64
+    prefilter, and ``_on_chain`` on the candidates of all pairs in one
+    stacked call finds the members ``_in_span`` finds, for a regular pair,
+    a near pair (1 - |g|^2 ~ 1e-5), a nearly coincident pair (~1e-12) and
+    pairs just above the near bound (in [1e-4, 2e-4]), with lifts at 0.99,
+    0.999 and 1.01 tol from their spans, at p = 1, 2, 3."""
     tol = 1e-7
-    L, planted = planted_span_lifts(np.random.default_rng(8), 2, tol)
-    assert 1 - abs(np.vdot(L[0], L[1])) ** 2 < 1e-4
-    assert 1 - abs(np.vdot(L[0], L[2])) ** 2 < 1e-10
-    pairs = np.array([(a, b) for a in range(40) for b in range(40)])
-    t, z = _candidates(L, _real_outer(L, L).T, pairs, tol)
-    assert np.all(np.diff(t * 40 + z) > 0)  # draw order
-    on = _on_chain(L, np.column_stack([pairs[t], z]), tol)
-    members = [[] for _ in pairs]
-    for r, m in zip(t[on], z[on]):
-        members[r].append(m)
-    for (a, b), got in zip(pairs, members):
-        want = [] if a == b else [
-            z for z in np.flatnonzero(_in_span(L[[a, b]].T, L, tol)) if z not in (a, b)
-        ]
-        assert got == want
-    for z, (pair, inside) in planted.items():
-        for a, b in (pair, pair[::-1]):
-            assert (z in members[40 * a + b]) == inside
+    for p in (1, 2, 3):
+        L, planted = planted_span_lifts(np.random.default_rng(8), p, tol)
+        assert 1 - abs(np.vdot(L[0], L[1])) ** 2 < 1e-4
+        assert 1 - abs(np.vdot(L[0], L[2])) ** 2 < 1e-10
+        assert 1e-4 < 1 - abs(np.vdot(L[0], L[12])) ** 2 < 2e-4
+        pairs = np.array([(a, b) for a in range(40) for b in range(40)])
+        table = _features(L.T).astype(np.float32)
+        t, z = _candidates(L.T, table, pairs, tol)
+        assert np.all(np.diff(t * 40 + z) > 0)  # draw order
+        assert len(t) < 2 * gram_candidate_count(L, pairs, tol)
+        candidates = [set() for _ in pairs]
+        for r, m in zip(t, z):
+            candidates[r].add(m)
+        on = _on_chain(L, np.column_stack([pairs[t], z]), tol)
+        members = [[] for _ in pairs]
+        for r, m in zip(t[on], z[on]):
+            members[r].append(m)
+        for (a, b), cand, got in zip(pairs, candidates, members):
+            svd = [] if a == b else np.flatnonzero(svd_in_span(L[[a, b]].T, L, tol))
+            assert {m for m in svd if m not in (a, b)} <= cand
+            want = [] if a == b else [
+                z for z in np.flatnonzero(_in_span(L[[a, b]].T, L, tol)) if z not in (a, b)
+            ]
+            assert got == want
+        for z, (pair, inside) in planted.items():
+            for a, b in (pair, pair[::-1]):
+                assert (z in members[40 * a + b]) == inside
 
 
 def test_compatibility_makes_no_svd(monkeypatch):
@@ -160,23 +197,34 @@ def test_compatibility_makes_no_svd(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_bilinear_residual_matches_gram(p, seed):
-    """The prefilter's bilinear h r^2, divided by h, is the Gram-table
-    r^2 = 1 - |E_az|^2 - |E_bz - conj(g) E_az|^2 / h of every lift, for a
-    random pair (a, b) that is not near (h >= 1e-4)."""
+@given(p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), near=st.booleans())
+def test_bilinear_residual_matches_gram(p, seed, near):
+    """psi(v) . psi(z) is |<v, z>|^2 to 2 d^2 eps |v|^2 |z|^2, and the float32
+    product of a pair's row with the table is 1 - r^2, r^2 = 1 - |E_az|^2 -
+    |E_bz - conj(g) E_az|^2 / h from the Gram table of the unit lifts,
+    within the prefilter's slack 4 (d^2 + 3) eps32, for a random pair or
+    one with h just above the near bound."""
     rng = np.random.default_rng(seed)
-    lifts = rng.normal(size=(30, p + 1)) + 1j * rng.normal(size=(30, p + 1))
+    d = p + 1
+    lifts = rng.normal(size=(30, d)) + 1j * rng.normal(size=(30, d))
+    F = _features(lifts.T).T
+    exact = np.abs(lifts.conj() @ lifts.T) ** 2
+    norms = np.linalg.norm(lifts, axis=-1) ** 2
+    assert np.all(np.abs(F @ F.T - exact) <= 2 * d * d * np.finfo(float).eps * np.outer(norms, norms))
     u = lifts / np.linalg.norm(lifts, axis=-1, keepdims=True)
+    if near:
+        e = u[1] - np.vdot(u[0], u[1]) * u[0]
+        h = rng.uniform(1.0, 1.5) * _NEAR_PAIR
+        u[1] = np.sqrt(1 - h) * u[0] + np.sqrt(h) * e / np.linalg.norm(e)
     E = u.conj() @ u.T
-    a, b = u[:1], u[1:2]
     g = E[0, 1]
     h = 1.0 - abs(g) ** 2
-    assume(h >= 1e-4)
+    assume(h >= _NEAR_PAIR)
     gram = 1.0 - abs(E[0]) ** 2 - abs(E[1] - g.conj() * E[0]) ** 2 / h
-    P = _real_outer(a, a) + _real_outer(b, b - 2 * g * a)
-    bilinear = (h - (P @ _real_outer(u, u).T)[0]) / h
-    assert np.abs(bilinear - gram).max() <= 1e-10
+    table = _features(u.T).astype(np.float32)
+    row = _pair_rows(u.T, table, np.array([[0, 1]]))
+    slack = 4 * (d * d + 3) * np.finfo(np.float32).eps
+    assert np.abs((row @ table)[0] - (1.0 - gram)).max() <= slack
 
 
 def test_collapsed_map_rejected(rng):
@@ -239,16 +287,16 @@ def test_fit_planted_with_holdout(rng):
 
 def test_fit_corrupted_fraction_reported(rng):
     smap, emb, g = _planted_sample_map(rng, 2, 2, 152)
-    n = len(smap.pairs)
+    n = len(smap.source_lifts)
     n_bad = n // 20  # 5%
     model_q = HermitianModel(2)
     bad_idx = rng.choice(n, size=n_bad, replace=False)
     from conftest import random_boundary
 
-    pairs = list(smap.pairs)
+    tgt = _points(smap.target_lifts, 2)
     for i in bad_idx:
-        pairs[i] = (pairs[i][0], random_boundary(model_q, rng))
-    corrupted = BoundarySampleMap(pairs=pairs, p=2, q=2)
+        tgt[i] = random_boundary(model_q, rng)
+    corrupted = BoundarySampleMap(pairs=list(zip(_points(smap.source_lifts, 2), tgt)), p=2, q=2)
     fitted, diags = fit_embedding(corrupted, seed=0)
     report = verify_embedding(fitted, corrupted, tol=1e-6, mode=diags.mode)
     assert abs(report["fraction"] - (1 - n_bad / n)) < 0.02
