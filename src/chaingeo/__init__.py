@@ -38,14 +38,11 @@ from .hermitian import (
     ProjPoint,
     TangentVector,
     TriangleArea,
-    distance,
     exp_map,
-    geodesic,
     inner,
     metric_and_kahler,
     tangent,
     triangle_area,
-    unit_tangent_toward,
 )
 from .isometries import (
     EmbeddingMap,

@@ -161,6 +161,8 @@ def _in_span(span, lifts, tol):
 
 def chain_contains(C, zeta, tol=1e-8):
     """Whether a boundary point lies on the chain (projective residual test)."""
+    if not zeta.is_boundary:
+        raise ValueError("chains pass through boundary points")
     return bool(_in_span(C.span, zeta.lift, tol))
 
 

@@ -169,6 +169,8 @@ def _cmd_toledo(args):
             "mw_ok": bool(ok),
             "mw_margin": margin,
             "triangles": res.triangle_count,
+            "degenerate_triangles": res.degenerate_triangles,
+            "relator_residual": float(rep.relator_residual),
             "tolerance": args.tolerance,
             "seed": _default_seed(args),
         },
@@ -207,7 +209,7 @@ def _cmd_delta_form(args):
 
 def _cmd_reconstruct(args):
     data = _load_json(args.samples)
-    p, q = int(data["p"]), int(data["q"])
+    p, q = ser._json_int(data, "p"), ser._json_int(data, "q")
     mp, mq = HermitianModel(p), HermitianModel(q)
     if not isinstance(data["pairs"], list) or not all(
         isinstance(ab, list) and len(ab) == 2 for ab in data["pairs"]
@@ -226,6 +228,7 @@ def _cmd_reconstruct(args):
             "cochain_triples": report.cochain_triples,
             "image_cochain_fraction": report.image_cochain_fraction,
             "orientation_match_fraction": report.orientation_match_fraction,
+            "generic_triples": report.generic_triples,
             "image_generic_fraction": report.image_generic_fraction,
         },
         "tolerance": args.tolerance,
@@ -244,6 +247,7 @@ def _cmd_reconstruct(args):
         "scale": emb.scale,
         "median_residual": diags.median_residual,
         "isometry_residual": diags.isometry_residual,
+        "trimmed": len(diags.trimmed),
         "fraction_verified": ver["fraction"],
         "failing": ver["failing"],
         "residuals": [float(r) for r in ver["residuals"]],

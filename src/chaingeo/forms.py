@@ -91,7 +91,9 @@ class BoundaryCocycle:
 
 @dataclass
 class FormEvaluation:
-    """A Monte-Carlo evaluation of a degree-n form at a point.
+    """A Monte-Carlo evaluation of a form on one frame (a point and its
+    tangent vectors): the estimate, its batch-mean standard error, the
+    sample count and the batch means.
 
     ``bound`` stores h^n * sup_norm * prod ||v_i||; the estimator satisfies
     |value| <= bound up to 3 standard errors.
@@ -100,11 +102,7 @@ class FormEvaluation:
     value: float
     mc_stderr: float
     n_samples: int
-    seed: int
-    degree: int
     bound: float
-    base: object = field(repr=False, default=None)
-    vectors: tuple = field(repr=False, default=())
     batch_means: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -131,7 +129,6 @@ class _SampleStream:
         self.entropy = entropy
         self.sup_norm_bound = c.sup_norm_bound
         self.n_samples = n_samples
-        self.seed = seed
         nu = VisualMeasure(model, seed=seed)
         rng = np.random.default_rng(seed)
         self.lifts = [nu.sample_lifts(n_samples, rng=rng) for _ in range(self.degree + 1)]
@@ -198,15 +195,11 @@ class _SampleStream:
                 value=float(mean),
                 mc_stderr=float(stderr),
                 n_samples=self.n_samples,
-                seed=self.seed,
-                degree=n,
                 bound=float((h**n) * self.sup_norm_bound
                             * np.prod([np.sqrt(s * _herm(v.components, v.components).real) for v in vectors])),
-                base=x,
-                vectors=tuple(vectors),
                 batch_means=batches,
             )
-            for (x, vectors), (mean, stderr, batches) in zip(frames, map(_batch_stats, integrand))
+            for (_, vectors), (mean, stderr, batches) in zip(frames, map(_batch_stats, integrand))
         ]
 
 

@@ -5,17 +5,13 @@ The model is the cone of negative lines in C^{p+1} for the diagonal form
     <X, Y> = sum_{i<=p} X_i conj(Y_i)  -  X_{p+1} conj(Y_{p+1}),
 
 with the metric normalized so the minimal holomorphic sectional curvature
-is -1.  In this normalization the distance between negative lines is
-
-    d(x, y) = 2 arccosh sqrt(delta),
-    delta   = <X,Y><Y,X> / (<X,X><Y,Y>),
-
-the Riemannian metric at a canonical lift X (i.e. <X,X> = -1) is
+is -1.  The Riemannian metric at a canonical lift X (i.e. <X,X> = -1) is
 ``g(u, v) = metric_scale * Re<u, v>`` on horizontal vectors, and the Kahler
 form is ``omega(u, v) = g(Ju, v)`` with J multiplication by i.  The default
 ``metric_scale = 4`` is the unique value consistent with the curvature
-normalization; it is validated by a finite-difference curvature oracle in
-the test suite rather than assumed.
+normalization, at which the distance of negative lines is
+2 arccosh sqrt(<X,Y><Y,X> / (<X,X><Y,Y>)); the test suite validates it by
+a curvature oracle built on that distance rather than assuming it.
 
 The Kahler form is the curvature of the tautological line bundle, so the
 signed Kahler area of a geodesic triangle, with interior or ideal
@@ -44,10 +40,7 @@ __all__ = [
     "TangentVector",
     "TriangleArea",
     "inner",
-    "distance",
-    "geodesic",
     "exp_map",
-    "unit_tangent_toward",
     "tangent",
     "metric_and_kahler",
     "triangle_area",
@@ -253,10 +246,6 @@ class TangentVector:
             raise ValueError(f"components not finite and horizontal (residual {res:.2e})")
         self.components = v
 
-    def norm(self, model):
-        g, _ = metric_and_kahler(model, self.base, self, self)
-        return np.sqrt(g)
-
 
 def tangent(model, base, raw):
     """Project a raw ambient vector to the horizontal tangent space at base."""
@@ -264,62 +253,6 @@ def tangent(model, base, raw):
     v = np.asarray(raw, dtype=complex)
     v = v - (_herm(v, X) / _herm(X, X)) * X
     return TangentVector(base, v)
-
-
-def distance(model, x, y):
-    """Geodesic distance between interior points; 2 arccosh sqrt(delta)."""
-    if not (x.is_interior and y.is_interior):
-        raise ValueError("distance is defined for interior points")
-    X, Y = x.lift, y.lift
-    delta = (_herm(X, Y) * _herm(Y, X)).real / (_herm(X, X).real * _herm(Y, Y).real)
-    delta = max(1.0, delta)  # guard rounding below 1
-    return model.metric_scale ** 0.5 * np.arccosh(np.sqrt(delta))
-
-
-def _direction(X, target):
-    """Direction D of the geodesic from the canonical lift X toward target,
-    at scale-4 arclength t: e^{-t/2} X + sinh(t/2) D with D the null lift
-    of a boundary target, <X, D> = -1, or cosh(t/2) X + sinh(t/2) D with
-    D the unit vector, <D, X> = 0, toward an interior one."""
-    T = target.lift
-    if target.is_boundary:
-        return np.conj(-1.0 / _herm(X, T)) * T
-    c = _herm(T, X)
-    r = abs(c)
-    if r - 1.0 < 1e-14:
-        raise ValueError("undefined direction: coincident points")
-    # T phase-aligned so that its pairing with X is -r
-    return (-(r / c) * T - r * X) / np.sqrt(r * r - 1.0)
-
-
-def unit_tangent_toward(model, x, target):
-    """Unit tangent vector at interior x pointing toward target.
-
-    ``target`` may be interior or boundary; the returned TangentVector has
-    g-norm 1.
-    """
-    D = _direction(x.lift, target)
-    # the derivative at t = 0 of the curve of _direction
-    v = 0.5 * (D - x.lift) if target.is_boundary else 0.5 * D
-    n2 = _herm(v, v).real  # g-norm^2 is metric_scale * n2
-    return TangentVector(x, v / np.sqrt(model.metric_scale * n2))
-
-
-def geodesic(model, x, target, t):
-    """Unit-speed geodesic from interior x toward target, at arclength t.
-
-    ``geodesic(model, x, target, 0)`` is x; for an interior target,
-    ``t = distance(x, target)`` lands on the target.
-    """
-    if not x.is_interior:
-        raise ValueError("geodesic origin must be interior")
-    X = x.lift
-    tau = t / model.metric_scale ** 0.5 * 2.0  # scale-4 arclength
-    D = _direction(X, target)
-    # e^{-t/2}, not cosh(t/2) - sinh(t/2), keeps the ray toward a boundary
-    # point accurate at large t
-    a = np.exp(-tau / 2.0) if target.is_boundary else np.cosh(tau / 2.0)
-    return ProjPoint(a * X + np.sinh(tau / 2.0) * D, model=model, kind="interior")
 
 
 def exp_map(model, x, v):

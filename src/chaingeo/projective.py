@@ -196,7 +196,6 @@ class QuadrilateralStepError(ValueError):
 
     def __init__(self, step, message):
         super().__init__(f"step {step}: {message}")
-        self.step = step
 
 
 def _meet(l1, l2, step):

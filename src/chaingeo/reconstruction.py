@@ -77,7 +77,6 @@ class CompatibilityReport:
     orientation_match_fraction: float
     generic_triples: int
     image_generic_fraction: float
-    note: str = ""
 
     def passes(self, threshold=0.99):
         return (
@@ -219,14 +218,12 @@ def chain_compatibility_check(sample_map, n_triples=300, seed=0, tol=1e-7):
     n_generic = int(generic.sum())
 
     nc = len(cochain)
-    note = "" if nc else "no co-chain triples found among the samples"
     return CompatibilityReport(
         cochain_triples=nc,
         image_cochain_fraction=img_cochain / nc if nc else 0.0,
         orientation_match_fraction=orient_match / max(1, img_cochain),
         generic_triples=n_generic,
         image_generic_fraction=int(img_generic.sum()) / n_generic if n_generic else 1.0,
-        note=note,
     )
 
 
@@ -291,12 +288,13 @@ def _inverse_sqrt(mu):
 
 @dataclass
 class FitDiagnostics:
-    residuals: np.ndarray
+    """The fit's median residual over the untrimmed samples, the isometry
+    residual of its matrix, its mode and the indices of trimmed samples."""
+
     median_residual: float
     isometry_residual: float
     mode: str
-    trimmed: list = field(default_factory=list)
-    compatibility: CompatibilityReport = None
+    trimmed: list
 
 
 def fit_embedding(sample_map, compatibility=None, plateau=1e-4, seed=0):
@@ -345,12 +343,10 @@ def fit_embedding(sample_map, compatibility=None, plateau=1e-4, seed=0):
         )
     emb = EmbeddingMap(W, source_p=sample_map.p, target_q=sample_map.q, scale=lam)
     diags = FitDiagnostics(
-        residuals=res,
         median_residual=med,
         isometry_residual=_form_residual(W, lam, sample_map.p, sample_map.q),
         mode=mode,
         trimmed=trimmed,
-        compatibility=report,
     )
     return emb, diags
 
@@ -358,9 +354,9 @@ def fit_embedding(sample_map, compatibility=None, plateau=1e-4, seed=0):
 def verify_embedding(emb, sample_map, tol=1e-6, mode="holomorphic"):
     """Fraction of samples reproduced by the fitted boundary trace.
 
-    Returns a dict with the in-tolerance fraction, the isometry residual
-    of the matrix, the fit mode (holomorphy is structural: the matrix is
-    complex-linear), and the indices of failing samples.
+    Returns a dict with the in-tolerance fraction, the indices of failing
+    samples and the per-sample projective residuals.  ``mode`` is the fit's:
+    an antiholomorphic fit maps the conjugated source samples.
     """
     src = sample_map.source_lifts
     if mode == "antiholomorphic":
@@ -370,8 +366,6 @@ def verify_embedding(emb, sample_map, tol=1e-6, mode="holomorphic"):
     ok = res < tol
     return {
         "fraction": float(ok.mean()),
-        "isometry_residual": _form_residual(emb.matrix, emb.scale, emb.source_p, emb.target_q),
-        "mode": mode,
         "failing": np.where(~ok)[0].tolist(),
         "residuals": res,
     }

@@ -38,7 +38,18 @@ def vector_to_json(v):
 
 
 def json_to_vector(data):
+    if not isinstance(data, list) or not all(
+        isinstance(z, list) and len(z) == 2 and all(type(t) in (int, float) for t in z) for z in data
+    ):
+        raise ValueError("a vector must be a list of [re, im] pairs of numbers")
     return np.array([complex(re, im) for re, im in data], dtype=complex)
+
+
+def _json_int(data, key):
+    """The JSON integer ``data[key]``."""
+    if type(data[key]) is not int:
+        raise ValueError(f"'{key}' must be an integer, got {data[key]!r}")
+    return data[key]
 
 
 def matrix_to_json(m):
@@ -54,9 +65,17 @@ def point_to_json(pt):
 
 
 def json_to_point(data, model):
+    """The point of a JSON object {'lift': vector, 'kind': kind}; the lift
+    is classified, and an optional stated kind must agree with it."""
     if not isinstance(data, dict):
         raise ValueError(f"a point must be a JSON object, got {type(data).__name__}")
-    return ProjPoint(json_to_vector(data["lift"]), model=model, kind=data.get("kind"))
+    kind = data.get("kind")
+    if kind not in (None, "interior", "boundary"):
+        raise ValueError(f"a point's kind must be 'interior' or 'boundary', got {kind!r}")
+    pt = ProjPoint(json_to_vector(data["lift"]), model=model)
+    if kind not in (None, pt.kind):
+        raise ValueError(f"a point stated as {kind} classifies as {pt.kind}")
+    return pt
 
 
 def rep_from_json(data):
@@ -70,7 +89,7 @@ def rep_from_json(data):
     for word in data.get("relators", []):
         if not _scalar_residual(word_to_matrix(word, [g.matrix for g in gens])) <= RELATOR_TOL:
             raise ValueError(f"relator word {word!r} does not close")
-    return SurfaceGroupRep(genus=int(data["genus"]), generators=gens)
+    return SurfaceGroupRep(genus=_json_int(data, "genus"), generators=gens)
 
 
 def word_to_matrix(word, generator_matrices):

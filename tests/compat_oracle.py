@@ -141,7 +141,6 @@ def compatibility_loop(sample_map, n_triples=300, seed=0, tol=1e-7):
         Cq = chain_through(model_q, ys[i], ys[j])
         if not svd_in_span(Cq.span, ys[k].lift, max(tol, 1e-6)):
             img_generic += 1
-    note = "" if cochain else "no co-chain triples found among the samples"
     nc = len(cochain)
     return CompatibilityReport(
         cochain_triples=nc,
@@ -149,5 +148,4 @@ def compatibility_loop(sample_map, n_triples=300, seed=0, tol=1e-7):
         orientation_match_fraction=orient_match / max(1, img_cochain),
         generic_triples=generic,
         image_generic_fraction=img_generic / generic if generic else 1.0,
-        note=note,
     )

@@ -13,6 +13,7 @@ from chaingeo.serialization import (
     point_to_json,
     vector_to_json,
 )
+from chaingeo.toledo import fuchsian_genus2_rep
 from chaingeo.verify import _planted_sample_map
 
 from conftest import random_boundary, run_python
@@ -111,6 +112,11 @@ def test_cli_chain_rejects_json_list(tmp_path, capsys, plane2, rng):
 
 # (argv ending in the input-file flag, builder of that file's object from
 # four boundary points; or argv alone and None)
+def _p1(z, kind="boundary"):
+    """A point of H^1_C with lift (z, 1), z an [re, im] pair."""
+    return {"lift": [z, [1, 0]]} if kind is None else {"lift": [z, [1, 0]], "kind": kind}
+
+
 BAD_INPUTS = {
     "chain-one-point": (["chain", "--p", "2", "--points"], lambda pts: {"points": pts[:1]}),
     "cartan-points-not-list": (
@@ -136,6 +142,43 @@ BAD_INPUTS = {
     "reconstruct-pair-not-list": (
         ["reconstruct", "--samples"],
         lambda pts: {"p": 2, "q": 2, "pairs": [pts[:2], 5]},
+    ),
+    # p = 1 points: (5, 1) is exterior and (0, 1) the origin, both stated
+    # as boundary; (1, 1) and (i, 1) are boundary points
+    "cartan-exterior-stated-boundary": (
+        ["cartan", "--p", "1", "--points"],
+        lambda pts: {"points": [_p1([5, 0], "boundary"), _p1([1, 0]), _p1([0, 1])]},
+    ),
+    "cartan-origin-stated-boundary": (
+        ["cartan", "--p", "1", "--points"],
+        lambda pts: {"points": [_p1([0, 0], "boundary"), _p1([1, 0]), _p1([0, 1])]},
+    ),
+    "chain-unknown-kind": (
+        ["chain", "--p", "2", "--points"],
+        lambda pts: {"points": pts[:2] + [{"lift": pts[2]["lift"], "kind": "weird"}]},
+    ),
+    "chain-interior-member": (
+        ["chain", "--p", "1", "--points"],
+        lambda pts: {"points": [_p1([1, 0]), _p1([0, 1]), _p1([0.3, 0], None)]},
+    ),
+    "chain-lift-not-list": (
+        ["chain", "--p", "2", "--points"],
+        lambda pts: {"points": pts[:2] + [{"lift": 5}]},
+    ),
+    "chain-lift-string-coordinates": (
+        ["chain", "--p", "2", "--points"],
+        lambda pts: {"points": pts[:2] + [{"lift": [["1", "0"], ["0", "0"], ["1", "0"]]}]},
+    ),
+    "reconstruct-p-null": (
+        ["reconstruct", "--samples"],
+        lambda pts: {"p": None, "q": 2, "pairs": [pts[:2]] * 40},
+    ),
+    "toledo-genus-null": (
+        ["toledo", "--rep"],
+        lambda pts: {
+            "genus": None,
+            "generators": [matrix_to_json(g.matrix) for g in fuchsian_genus2_rep().generators],
+        },
     ),
     "finite-model-zero-denominator": (["finite-model", "--weights", "1/0,1"], None),
     "finite-model-table-not-list": (

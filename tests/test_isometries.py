@@ -8,7 +8,6 @@ from chaingeo import (
     HermitianModel,
     Isometry,
     apply_isometry,
-    distance,
     metric_and_kahler,
     random_isometry,
     standard_embedding,
@@ -16,6 +15,7 @@ from chaingeo import (
 from chaingeo.chains import cartan_triple_lifts, chain_contains, chain_through, sample_chain_point
 
 from conftest import apply_tangent, random_boundary, random_interior, random_tangent
+from distance_oracle import distance
 
 
 def test_isometry_invariant_enforced():

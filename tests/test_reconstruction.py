@@ -84,7 +84,6 @@ def test_compatibility_report_pinned():
         orientation_match_fraction=1.0,
         generic_triples=298,
         image_generic_fraction=1.0,
-        note="",
     )
 
 
