@@ -24,29 +24,61 @@ Monte-Carlo error.
 
 The samples and the cocycle values on them do not depend on the point x.
 They form a sample stream, drawn and evaluated once: ``delta_form_field``
-builds one when the field is made and keeps it, (n+1) * N * (p+1) complex
-lifts plus N cocycle values (about 30 MB at N = 200k and n = p = 2), while
-``delta_form_eval`` builds one per call.  The build runs over equal row
-blocks (``busemann._row_blocks``) and peaks about 14 MB above what the
-stream holds.  An evaluation of K frames (points with tangent vectors)
-reads each block of ``_EVAL_ROWS`` lifts once, pairs it with W = [x, the
-vectors] of every frame in one real matrix product, and takes the weight
-as the Poisson kernel to the power p, with |<xi, O>|^2 a constant; it
-peaks about 2 MB (K = 1) and 12 MB (K = 6) above what the stream holds.
+builds one when the field is made and keeps it, while ``delta_form_eval``
+builds one per call.  A stream holds each of its n+1 sample arrays as N
+unit directions u in C^p, whose lifts are [u, 1] / sqrt(2), plus N cocycle
+values: about 21 MB at N = 200k and n = p = 2 (the full lifts took 30 MB).
+The lifts exist only in row blocks (``busemann._row_blocks``); the build
+peaks about 19 MB above what the stream holds, at 40 MB.  An evaluation
+of K frames (points with tangent vectors) reads each block of
+``_EVAL_ROWS`` samples once, pairs it with W = [x, the vectors] of every
+frame in one real matrix product, and takes the weight as the Poisson
+kernel to the power p, with |<xi, O>|^2 a constant; it peaks about 2 MB
+(K = 1) and 13 MB (K = 6) above what the stream holds.
+
+Threads: one module-level helper thread (``_helper``) draws a stream's
+normals, array k+1 while the calling thread normalises array k, and for
+``delta_form_eval`` builds the frame's per-block weights while the calling
+thread runs the cocycle.  The cocycle and every public function run on the
+calling thread, and the bytes of every result are those of a sequential
+run.  A forked child gets a fresh helper.  The overlap pays where BLAS
+runs one thread per process, as the benchmark runs it; with OpenBLAS's
+default of one thread per core, its worker spins between the cocycle's
+BLAS calls and holds the second core.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .busemann import VisualMeasure, _batch_stats, _poisson_power, _row_blocks
+from .busemann import VisualMeasure, _batch_stats, _boundary_lifts, _poisson_power, _row_blocks, _unit_rows
 from .chains import cartan_triple_lifts, chain_through, sample_chain_point
 from .hermitian import _form_diagonal, _herm, exp_map, tangent
 
 _EVAL_ROWS = 4096  # the rows of one evaluation block, whose pairings stay in cache
+
+
+_pool = []  # the helper's executor, made on first use
+
+
+def _helper():
+    """The one helper thread.  It draws a stream's normals and builds a fresh
+    form's frame factors; the cocycle and every public call stay on the
+    caller.  It is made on first use, so a program that makes no form
+    imports no ``concurrent.futures`` (and its ``logging``, 0.6 MB)."""
+    if not _pool:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool.append(ThreadPoolExecutor(1, thread_name_prefix="chaingeo-forms"))
+    return _pool[0]
+
+
+# a forked child has none of its parent's threads, so it makes its own helper
+os.register_at_fork(after_in_child=_pool.clear)
 
 __all__ = [
     "BoundaryCocycle",
@@ -65,8 +97,10 @@ class BoundaryCocycle:
     """Bounded measurable function on (arity)-tuples of boundary points.
 
     ``evaluator`` receives ``arity`` arrays of lifts, each (N, p+1), and
-    returns (N,) values with |value| <= sup_norm_bound.  ``alternating`` is
-    a declaration that nothing checks.
+    returns (N,) values with |value| <= sup_norm_bound.  A form's sample
+    stream calls it on the calling thread, on row blocks of at most 65536
+    lifts that it reuses for the next block, so it must not keep them.
+    ``alternating`` is a declaration that nothing checks.
     """
 
     arity: int
@@ -112,16 +146,24 @@ class FormEvaluation:
 
 class _SampleStream:
     """The x-independent part of a Monte-Carlo form: the n+1 arrays of
-    boundary lifts and the cocycle values on them.
+    boundary samples and the cocycle values on them.
 
-    The lifts are drawn from one generator seeded with ``seed``, array by
-    array, so every stream with the same (seed, n_samples) holds the same
-    samples (the common-random-numbers contract).  The cocycle, with its
-    sup-norm check, runs here, once per row block.  ``evaluate`` pairs the
-    stream with K frames in one pass over its blocks; a call, with one.
+    The samples are drawn from one generator seeded with ``seed``, array by
+    array, as ``VisualMeasure.sample_lifts`` draws them, so every stream with
+    the same (seed, n_samples) holds the same samples (the
+    common-random-numbers contract).  Each array is held as its (N, p) unit
+    directions u; the lifts [u, 1] / sqrt(2) exist only as the row blocks
+    given to the cocycle (``_lift_blocks``) and to the pairing product
+    (``_transposed``).  The cocycle, with its sup-norm check, runs here on
+    the calling thread, once per row block.
+
+    ``evaluate`` pairs the stream with K frames in one pass over its
+    blocks; a call, with one.  Given ``frames``, the constructor checks
+    them before any draw and the helper thread builds their per-block
+    factors while the cocycle runs, kept as ``factors`` for ``evaluate``.
     """
 
-    def __init__(self, model, entropy, c, n_samples, seed):
+    def __init__(self, model, entropy, c, n_samples, seed, frames=None):
         self.degree = c.arity - 1
         if self.degree not in (0, 1, 2):
             raise ValueError("degrees n <= 2 are supported")
@@ -129,19 +171,45 @@ class _SampleStream:
         self.entropy = entropy
         self.sup_norm_bound = c.sup_norm_bound
         self.n_samples = n_samples
-        nu = VisualMeasure(model, seed=seed)
-        rng = np.random.default_rng(seed)
-        self.lifts = [nu.sample_lifts(n_samples, rng=rng) for _ in range(self.degree + 1)]
-        self.values = np.empty(n_samples)
-        for r in _row_blocks(n_samples):
-            self.values[r] = c(*(lifts[r] for lifts in self.lifts))
+        if frames is not None:
+            self._check(frames)
+        self.dirs = _draw_directions(model.p, n_samples, seed, self.degree + 1)
+        pending = None if frames is None else _helper().submit(lambda: list(self._factors(frames)))
+        try:
+            self.values = np.empty(n_samples)
+            for r, lifts in self._lift_blocks():
+                self.values[r] = c(*lifts)
+        finally:
+            if pending is not None:
+                pending.exception()  # waits, not raising: an error leaves no work on the helper
+        self.factors = None if pending is None else pending.result()
+
+    def _lift_blocks(self):
+        """(r, the n+1 arrays' lifts [u, 1] / sqrt(2) on the rows r) per row
+        block, in one reused (rows, p+1) buffer per array, so each block's
+        lifts are valid until the next is made."""
+        blocks = _row_blocks(self.n_samples)
+        rows = max((r.stop - r.start for r in blocks), default=0)
+        bufs = [np.empty((rows, self.model.p + 1), dtype=complex) for _ in self.dirs]
+        for buf in bufs:
+            buf[:, -1] = 1.0 / np.sqrt(2.0)
+        for r in blocks:
+            yield r, [_boundary_lifts(d[r], out=buf[: r.stop - r.start]) for d, buf in zip(self.dirs, bufs)]
+
+    def _transposed(self, k, r):
+        """The real view of array k's lifts on the rows r, transposed and
+        contiguous: (2p+2, rows), whose last two rows are 1/sqrt(2) and 0
+        (BLAS takes it faster than the strided view, with the same bits)."""
+        d = self.dirs[k][r].view(float).T
+        t = np.empty((len(d) + 2, d.shape[1]))
+        np.multiply(d, 1.0 / np.sqrt(2.0), out=t[:-2])
+        t[-2], t[-1] = 1.0 / np.sqrt(2.0), 0.0
+        return t
 
     def __call__(self, x, *vectors):
         return self.evaluate([(x, vectors)])[0]
 
-    def evaluate(self, frames):
-        """One FormEvaluation per frame (x, vectors), reading each block of
-        the stream once for all the frames."""
+    def _check(self, frames):
         n = self.degree
         for x, vectors in frames:
             if len(vectors) != n:
@@ -151,24 +219,28 @@ class _SampleStream:
             for v in vectors:
                 if not v.base.same_point_as(x):
                     raise ValueError("tangent vectors must be based at x")
+
+    def _factors(self, frames):
+        """Per evaluation block r, (r, weight, wedge): (K, rows) arrays of the
+        first array's weight e^{xi_0}(x) and of the other arrays' wedge
+        de^{xi_1} ^ ... on the vectors (None in degree 0), for every frame."""
+        n = self.degree
         h, s, m = self.entropy.value, self.model.metric_scale, n + 1
         # the real view (Re xi_0, Im xi_0, Re xi_1, ...) of a lift dotted with
         # that of J W (J the form diagonal) is Re<xi, W>, with that of i J W
         # Im<xi, W>: B[k]'s rows give Re<xi, W_j>, then Im<xi, W_j>, with
-        # W = [X, V_1..V_n] of frame k (BLAS takes a block's contiguous
-        # transpose faster than its strided view, with the same bits)
+        # W = [X, V_1..V_n] of frame k
         W = np.array([[x.lift, *(v.components for v in vectors)] for x, vectors in frames])
         B = np.concatenate([W, 1j * W], axis=1).view(float) * np.repeat(_form_diagonal(W.shape[2]), 2)
         neg_xx = np.array([[-_herm(x.lift, x.lift).real] for x, _ in frames])
         v_x = np.array([[_herm(v.components, x.lift).real for v in vectors] for x, vectors in frames])
         r2 = 1.0 / np.sqrt(2.0)  # every sample's last coordinate: |<xi, O>|^2 = r2 * r2
-        integrand = np.empty((len(frames), self.n_samples))
         for r in _row_blocks(self.n_samples, rows=_EVAL_ROWS):
             des = []
-            for lifts in self.lifts[1:]:
+            for k in range(1, m):
                 # (de^xi)_x(v) = h s Re<v, U_xi> e^xi with U_xi the unit tangent
                 # at x toward xi, = h sqrt(s) e^xi Re(-<xi, v>/<xi, X> - <v, X>)
-                re, im = np.split(B @ np.ascontiguousarray(lifts[r].view(float).T), 2, axis=1)
+                re, im = np.split(B @ self._transposed(k, r), 2, axis=1)
                 xi_x2 = re[:, 0] ** 2 + im[:, 0] ** 2
                 e = h * np.sqrt(s) * _poisson_power(self.model, self.entropy, neg_xx, r2 * r2, xi_x2)
                 xi_x2 *= -1.0  # -|<xi, X>|^2
@@ -182,14 +254,29 @@ class _SampleStream:
                     des[-1].append(d)
                 del re, im  # one array's pairings at a time
             # the first array's weight needs only the X rows
-            P = B[:, [0, m]] @ np.ascontiguousarray(self.lifts[0][r].view(float).T)
+            P = B[:, [0, m]] @ self._transposed(0, r)
+            weight = _poisson_power(self.model, self.entropy, neg_xx, r2 * r2, P[:, 0] ** 2 + P[:, 1] ** 2)
+            if n == 0:
+                yield r, weight, None
+            elif n == 1:
+                yield r, weight, des[0][0]
+            else:
+                yield r, weight, des[0][0] * des[1][1] - des[0][1] * des[1][0]
+
+    def evaluate(self, frames, factors=None):
+        """One FormEvaluation per frame (x, vectors), reading each block of
+        the stream once for all the frames.  ``factors`` are the frames'
+        checked factors (``_factors``), by default built block by block."""
+        if factors is None:
+            self._check(frames)
+            factors = self._factors(frames)
+        n, h, s = self.degree, self.entropy.value, self.model.metric_scale
+        integrand = np.empty((len(frames), self.n_samples))
+        for r, weight, wedge in factors:
             block = integrand[:, r]
-            np.multiply(self.values[r], _poisson_power(
-                self.model, self.entropy, neg_xx, r2 * r2, P[:, 0] ** 2 + P[:, 1] ** 2), out=block)
-            if n == 1:
-                block *= des[0][0]
-            elif n == 2:
-                block *= des[0][0] * des[1][1] - des[0][1] * des[1][0]
+            np.multiply(self.values[r], weight, out=block)
+            if wedge is not None:
+                block *= wedge
         return [
             FormEvaluation(
                 value=float(mean),
@@ -203,27 +290,60 @@ class _SampleStream:
         ]
 
 
+def _draw(rng, out):
+    """Fill ``out`` with standard normals.  Returns nothing, so a finished
+    future holds no buffer."""
+    rng.standard_normal(out=out)
+
+
+def _draw_directions(p, n, seed, count):
+    """``count`` arrays of n unit directions in C^p, drawn from one generator
+    seeded with ``seed`` as ``VisualMeasure.sample_lifts`` draws its lifts.
+
+    The helper draws array k+1 while the caller normalises array k.  The
+    caller allocates every draw buffer, so the helper's malloc arena stays
+    small, and drops each once it has been read.
+    """
+    rng = np.random.default_rng(seed)
+    bufs = [np.empty((2, n, p))]
+    drawn = _helper().submit(_draw, rng, bufs[0])
+    dirs = []
+    for k in range(count):
+        drawn.result()
+        if k + 1 < count:
+            bufs.append(np.empty((2, n, p)))
+            drawn = _helper().submit(_draw, rng, bufs[-1])
+        dirs.append(_unit_rows(bufs.pop(0)))
+    return dirs
+
+
 def delta_form_eval(model, entropy, c, x, vectors, n_samples=200_000, seed=0):
     """Evaluate the degree-n form of the cocycle c at x on tangent vectors.
 
     ``vectors`` is a sequence of n := arity-1 TangentVectors (n in 0, 1, 2).
     Deterministic per (seed, n_samples); antisymmetric in the vectors by
-    construction of the estimator.
+    construction of the estimator.  The frame is checked before any sample
+    is drawn; the helper thread draws the samples and builds the frame's
+    weights while this thread normalises the samples and runs the cocycle.
     """
-    return _SampleStream(model, entropy, c, n_samples, seed)(x, *vectors)
+    frames = [(x, vectors)]
+    stream = _SampleStream(model, entropy, c, n_samples, seed, frames=frames)
+    return stream.evaluate(frames, stream.factors)[0]
 
 
 def delta_form_field(model, entropy, c, n_samples=200_000, seed=0):
     """Callable ``field(x, *vectors)`` evaluating the form of c at arbitrary
     points on one sample stream (common random numbers across points).
 
-    The stream is drawn, and the cocycle evaluated, once, here; the field
-    holds (n+1) * n_samples * (p+1) complex lifts and n_samples cocycle
-    values, about 30 MB at n_samples = 200k, n = p = 2, and building it
-    peaks about 14 MB above that.  The field is the stream itself: a call
-    costs one real matrix product per sample array and row block and peaks
-    about 2 MB above what is held, and ``exterior_derivative_fd`` evaluates
-    its six frames in one pass over the stream.
+    The stream is drawn, and the cocycle evaluated, once, here, on this
+    thread while the helper thread draws the normals; the field holds
+    (n+1) * n_samples * p complex unit directions and n_samples cocycle
+    values, about 21 MB at n_samples = 200k, n = p = 2, and building it
+    peaks about 19 MB above that.  The field is the stream itself: a call
+    runs on the calling thread, costs one real matrix product per sample
+    array and row block and peaks about 2 MB above what is held, and
+    ``exterior_derivative_fd`` evaluates its six frames in one pass over
+    the stream.
     """
     return _SampleStream(model, entropy, c, n_samples, seed)
 

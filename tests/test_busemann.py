@@ -16,7 +16,14 @@ from chaingeo import (
     volume_entropy,
 )
 from chaingeo import verify
-from chaingeo.busemann import _BLOCK_ROWS, _row_blocks, busemann_kappa, busemann_lifts, e_xi_lifts
+from chaingeo.busemann import (
+    _BLOCK_ROWS,
+    _row_blocks,
+    _unit_rows,
+    busemann_kappa,
+    busemann_lifts,
+    e_xi_lifts,
+)
 
 from conftest import random_boundary, random_interior, run_python
 from distance_oracle import distance, ray
@@ -245,6 +252,17 @@ def test_blockwise_sampler_gives_the_whole_array_bytes(p):
         want = whole_array_lifts(model, n, np.random.default_rng(7))
         assert got.shape == want.shape == (n, p + 1) and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_unit_rows_give_the_bytes_of_linalg_norm(p):
+    # the one normaliser sums squared moduli column by column in order;
+    # np.linalg.norm's reduce over these short rows adds the same terms in
+    # the same order
+    for n in (1, 2_000, 131_073):
+        g = np.random.default_rng(p).standard_normal((2, n, p))
+        u = g[0] + 1j * g[1]
+        assert _unit_rows(g).tobytes() == (u / np.linalg.norm(u, axis=1, keepdims=True)).tobytes()
 
 
 def test_row_blocks_are_equal_and_cover():

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,12 +23,12 @@ from chaingeo import (
     volume_entropy,
 )
 from chaingeo import forms, verify
-from chaingeo.busemann import _BLOCK_ROWS, VisualMeasure, e_xi_lifts
+from chaingeo.busemann import _BLOCK_ROWS, VisualMeasure, _row_blocks, e_xi_lifts
 from chaingeo.chains import cartan_triple_lifts
 from chaingeo.hermitian import _herm
 
-from conftest import apply_tangent, random_boundary, random_interior, random_tangent
-from stream_oracle import whole_array_eval
+from conftest import apply_tangent, random_boundary, random_interior, random_tangent, run_python
+from stream_oracle import whole_array_eval, whole_array_lifts
 
 N_MC = 60_000
 
@@ -342,16 +344,23 @@ def test_field_matches_eval_on_one_stream(setup, rng, degree):
         assert_allclose(a.batch_means, b.batch_means, rtol=1e-12, atol=0)
 
 
-def test_field_draws_its_stream_once(setup, rng, monkeypatch):
+@pytest.fixture
+def drawn(monkeypatch):
+    """The rows of every normal draw of a sample stream, one draw of
+    (2, N, p) normals per sample array."""
+    rows = []
+    original = forms._draw
+
+    def counting(gen, out):
+        rows.append(out.shape[1])
+        original(gen, out)
+
+    monkeypatch.setattr(forms, "_draw", counting)
+    return rows
+
+
+def test_field_draws_its_stream_once(setup, rng, drawn):
     model, ent = setup
-    drawn = []
-    original = VisualMeasure.sample_lifts
-
-    def counting(self, n, rng=None):
-        drawn.append(n)
-        return original(self, n, rng=rng)
-
-    monkeypatch.setattr(VisualMeasure, "sample_lifts", counting)
     field = delta_form_field(model, ent, _sine_cocycle(rng, 3), n_samples=N_MC, seed=22)
     for _ in range(4):
         x = random_interior(model, rng)
@@ -457,10 +466,12 @@ def test_cocycle_sees_at_most_one_block(setup, rng):
 
 
 def test_field_memory_above_what_it_holds(setup, rng):
-    # a blockwise stream holds its lifts and values; its passes add at most
-    # one block of temporaries (whole-array passes added 50 MiB to the build
-    # and 18 MiB to an evaluation, complex pairings over 65536-row blocks
-    # 7.6 MiB to an evaluation)
+    # a blockwise stream holds its unit directions and values (19.8 MiB; the
+    # full lifts held 29.0 MiB); its passes add at most one block of
+    # temporaries.  Measured absolute peaks: the build 37.9 MiB (40.2 with
+    # the full lifts, whole-array passes 79), one frame 22.0 and six frames
+    # 32.2 MiB, most of it their six integrands (9.2 MiB) and one block of
+    # pairings for all six
     model, ent = setup
     x = random_interior(model, rng)
     u, v = random_tangent(model, rng, x), random_tangent(model, rng, x)
@@ -470,18 +481,15 @@ def test_field_memory_above_what_it_holds(setup, rng):
     try:
         field = delta_form_field(model, ent, c, n_samples=200_000, seed=33)
         held, peak = tracemalloc.get_traced_memory()
-        assert peak - held <= 16 * mib
+        assert held <= 20 * mib and peak <= 39 * mib
         tracemalloc.reset_peak()
         field(x, u, v)
         _, peak = tracemalloc.get_traced_memory()
-        assert peak - held <= 5 * mib
-        # six frames in one pass hold their six integrands (9.2 MiB) and one
-        # block of pairings for all six; 8192-row blocks peaked at 14.3 MiB,
-        # above the build's 13.8 MiB
+        assert peak <= 23 * mib
         tracemalloc.reset_peak()
         exterior_derivative_fd(field, model, x, u, v, random_tangent(model, rng, x))
         _, peak = tracemalloc.get_traced_memory()
-        assert peak - held <= 12 * mib
+        assert peak <= 33 * mib
     finally:
         tracemalloc.stop()
 
@@ -518,14 +526,153 @@ def test_stencil_in_one_pass_gives_the_per_frame_bytes(setup, rng):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_stream_lifts_end_in_one_over_sqrt2(rng, p):
+def test_stream_lifts_end_in_one_over_sqrt2(rng, p, monkeypatch):
     # the evaluation reads |<xi, O>|^2, O = e_{p+1}, as the constant
-    # (1/sqrt(2))^2 from this invariant of VisualMeasure.sample_lifts
+    # (1/sqrt(2))^2: every lift block given to the cocycle ends in the
+    # column 1/sqrt(2), and every transposed block given to the pairing
+    # product in the rows 1/sqrt(2) and 0
     model = HermitianModel(p)
-    c = _sine_cocycle(rng, 3, dim=p + 1)
-    field = delta_form_field(model, volume_entropy(model), c, n_samples=131_073, seed=36)
-    for lifts in field.lifts:
-        assert lifts[:, -1].tobytes() == np.full(131_073, 1.0 / np.sqrt(2.0) + 0j).tobytes()
+    inner = _sine_cocycle(rng, 3, dim=p + 1)
+    r2, n = 1.0 / np.sqrt(2.0), 131_073
+    last, tails = [], []
+
+    def spy(*lifts):
+        last.extend(l[:, -1].copy() for l in lifts)
+        return inner.evaluator(*lifts)
+
+    original = forms._SampleStream._transposed
+
+    def transposed(self, k, r):
+        t = original(self, k, r)
+        tails.append(t[-2:].copy())
+        return t
+
+    monkeypatch.setattr(forms._SampleStream, "_transposed", transposed)
+    field = delta_form_field(model, volume_entropy(model), BoundaryCocycle(3, spy, 1.0), n_samples=n, seed=36)
+    x = random_interior(model, rng)
+    field(x, random_tangent(model, rng, x), random_tangent(model, rng, x))
+    assert np.concatenate(last).tobytes() == np.full(3 * n, r2 + 0j).tobytes()
+    assert np.concatenate(tails, axis=1).tobytes() == np.tile([[r2], [0.0]], (1, 3 * n)).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stream_holds_the_sampler_bytes(p):
+    # common random numbers across the two callers of the one normaliser:
+    # the lifts a stream gives the cocycle and, transposed, the pairing
+    # product are those of VisualMeasure.sample_lifts and of the
+    # whole-array oracle on the same generator
+    model = HermitianModel(p)
+    for n in (200_000, 131_073, 2_000):
+        seen = [[], [], []]
+
+        def spy(*lifts):
+            for blocks, l in zip(seen, lifts):
+                blocks.append(l.copy())
+            return np.zeros(len(lifts[0]))
+
+        field = delta_form_field(model, volume_entropy(model), BoundaryCocycle(3, spy, 1.0), n_samples=n, seed=37)
+        nu, draw, oracle_draw = VisualMeasure(model, seed=37), np.random.default_rng(37), np.random.default_rng(37)
+        for k, blocks in enumerate(seen):
+            want = nu.sample_lifts(n, rng=draw)
+            assert np.concatenate(blocks).tobytes() == want.tobytes()
+            assert whole_array_lifts(model, n, oracle_draw).tobytes() == want.tobytes()
+            t = np.concatenate([field._transposed(k, r) for r in _row_blocks(n, rows=forms._EVAL_ROWS)], axis=1)
+            assert t.tobytes() == np.ascontiguousarray(want.view(float).T).tobytes()
+
+
+# one valid delta_form_eval, whose result must not depend on what the
+# process ran before it
+_VALID_CALL = """
+import numpy as np
+from chaingeo import BoundaryCocycle, HermitianModel, delta_form_eval, tangent, volume_entropy
+model = HermitianModel(2)
+x = model.basepoint()
+vs = [tangent(model, x, w) for w in ([0.3, -0.2j, 0.1], [0.1 + 0.2j, 0.4, 0.0])]
+c = BoundaryCocycle(3, lambda a, b, c_: np.sin(3 * a[:, 0].real + b[:, 1].imag - 2 * c_[:, 0].imag), 1.0)
+fe = delta_form_eval(model, volume_entropy(model), c, x, vs, n_samples=50_000, seed=38)
+out = (np.array([fe.value, fe.mc_stderr, fe.bound]).tobytes() + fe.batch_means.tobytes()).hex()
+"""
+
+
+def test_concurrent_calls_keep_their_bytes(setup, rng):
+    # calls on more threads than cores share the one helper, with the
+    # interpreter switching threads often; each keeps the bytes of its call
+    # made alone
+    model, ent = setup
+    calls = []
+    for seed in range(6):
+        x = random_interior(model, rng)
+        calls.append((_sine_cocycle(rng, 3), x, [random_tangent(model, rng, x) for _ in range(2)], seed))
+
+    def run(c, x, vs, seed):
+        fe = delta_form_eval(model, ent, c, x, vs, n_samples=20_000, seed=seed)
+        return fe.batch_means.tobytes()
+
+    want = [run(*call) for call in calls]
+    got = [None] * len(calls)
+
+    def worker(i):
+        for k in range(i, len(calls), 4):
+            got[k] = run(*calls[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_a_forked_child_gets_its_own_helper():
+    # a child forked after a call has none of its parent's threads; with
+    # the parent's helper it waited forever on its first draw
+    code = f"""
+import os, signal
+CALL = {_VALID_CALL!r}
+exec(CALL)
+first = out
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a hung child ends itself
+    exec(CALL)
+    os._exit(0 if out == first else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    assert run_python("-c", code).stdout.strip() == b"0"
+
+
+def test_overlapped_eval_raises_and_recovers(setup, rng, drawn):
+    # the cocycle's errors come from the calling thread while the helper
+    # builds the frame's factors; frame errors come before any draw; after
+    # each error a valid call gives the bytes of a fresh process
+    model, ent = setup
+    fresh = run_python("-c", _VALID_CALL + "print(out)").stdout.decode().strip()
+    x = random_interior(model, rng)
+    vs = [random_tangent(model, rng, x) for _ in range(2)]
+    elsewhere = random_interior(model, rng)
+    sine = _sine_cocycle(rng, 3)
+    cases = [
+        (BoundaryCocycle(3, lambda a, b, c_: 2.0 * np.ones(len(a)), 1.0), x, vs,
+         "cocycle exceeded its declared sup-norm bound", 3),
+        (BoundaryCocycle(3, lambda a, b, c_: np.full(len(a), np.nan), 1.0), x, vs,
+         "cocycle returned non-finite values", 3),
+        (sine, random_boundary(model, rng), vs, "forms are evaluated at interior points", 0),
+        (sine, x, [vs[0], random_tangent(model, rng, elsewhere)], "tangent vectors must be based at x", 0),
+    ]
+    for c, point, vectors, message, draws in cases:
+        drawn.clear()
+        with pytest.raises(ValueError, match=message):
+            delta_form_eval(model, ent, c, point, vectors, n_samples=50_000, seed=38)
+        assert drawn == [50_000] * draws
+        ns = {}
+        exec(_VALID_CALL, ns)
+        assert ns["out"] == fresh
 
 
 @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -1.0])
