@@ -95,15 +95,19 @@ def _unit_rows(g):
     of ``np.linalg.norm``'s strided reduce.  That reduce adds the terms of
     a row in the same order while there are fewer than 8 of them, where
     numpy's pairwise summation starts, so for p <= 7 the bytes are its
-    bytes (the tests check p = 1..5; from p = 8 on the last bits differ).
+    bytes; rows of 8 or more terms take ``np.linalg.norm`` itself.
     """
     u = np.empty(g.shape[1:], dtype=complex)
     u.real, u.imag = g[0], g[1]
-    sq = (u[:, 0].conj() * u[:, 0]).real.copy()
-    for j in range(1, u.shape[1]):
-        sq += (u[:, j].conj() * u[:, j]).real
+    if u.shape[1] < 8:
+        sq = (u[:, 0].conj() * u[:, 0]).real.copy()
+        for j in range(1, u.shape[1]):
+            sq += (u[:, j].conj() * u[:, j]).real
+        norm = np.sqrt(sq)
+    else:
+        norm = np.linalg.norm(u, axis=1)
     f = u.view(float)  # numpy divides by c + 0i as a * (1/c): scaling gives its bytes
-    f *= (1.0 / np.sqrt(sq))[:, None]
+    f *= (1.0 / norm)[:, None]
     return u
 
 

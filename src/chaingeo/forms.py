@@ -36,12 +36,14 @@ frame in one real matrix product, and takes the weight as the Poisson
 kernel to the power p, with |<xi, O>|^2 a constant; it peaks about 2 MB
 (K = 1) and 13 MB (K = 6) above what the stream holds.
 
-Threads: one module-level helper thread (``_helper``) draws a stream's
+Threads: one module-level helper thread (``_submit``) draws a stream's
 normals, array k+1 while the calling thread normalises array k, and for
 ``delta_form_eval`` builds the frame's per-block weights while the calling
 thread runs the cocycle.  The cocycle and every public function run on the
 calling thread, and the bytes of every result are those of a sequential
-run.  A forked child gets a fresh helper.  The overlap pays where BLAS
+run.  A forked child gets a fresh helper, and once the interpreter is
+shutting down, when no thread can be started or scheduled, the caller runs
+the helper's work itself, in the same order.  The overlap pays where BLAS
 runs one thread per process, as the benchmark runs it; with OpenBLAS's
 default of one thread per core, its worker spins between the cocycle's
 BLAS calls and holds the second core.
@@ -65,16 +67,37 @@ _EVAL_ROWS = 4096  # the rows of one evaluation block, whose pairings stay in ca
 _pool = []  # the helper's executor, made on first use
 
 
-def _helper():
-    """The one helper thread.  It draws a stream's normals and builds a fresh
-    form's frame factors; the cocycle and every public call stay on the
-    caller.  It is made on first use, so a program that makes no form
-    imports no ``concurrent.futures`` (and its ``logging``, 0.6 MB)."""
-    if not _pool:
-        from concurrent.futures import ThreadPoolExecutor
+def _submit(fn, *args):
+    """A future of fn(*args) on the one helper thread.  The helper draws a
+    stream's normals and builds a fresh form's frame factors; the cocycle
+    and every public call stay on the caller.  It is made on first use, so
+    a program that makes no form imports no ``concurrent.futures`` (and its
+    ``logging``, 0.6 MB).  Once the interpreter is shutting down (a call
+    from a thread that outlives the main thread, or from an atexit handler),
+    the executor can neither be made nor take work, both raising
+    RuntimeError; then fn runs here, at once."""
+    try:
+        if not _pool:
+            from concurrent.futures import ThreadPoolExecutor
 
-        _pool.append(ThreadPoolExecutor(1, thread_name_prefix="chaingeo-forms"))
-    return _pool[0]
+            _pool.append(ThreadPoolExecutor(1, thread_name_prefix="chaingeo-forms"))
+        return _pool[0].submit(fn, *args)
+    except RuntimeError:
+        pass
+    return _Done(fn(*args))
+
+
+class _Done:
+    """The result of a call already run on the caller, read as a future's."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def exception(self):
+        return None
+
+    def result(self):
+        return self.value
 
 
 # a forked child has none of its parent's threads, so it makes its own helper
@@ -98,8 +121,9 @@ class BoundaryCocycle:
 
     ``evaluator`` receives ``arity`` arrays of lifts, each (N, p+1), and
     returns (N,) values with |value| <= sup_norm_bound.  A form's sample
-    stream calls it on the calling thread, on row blocks of at most 65536
-    lifts that it reuses for the next block, so it must not keep them.
+    stream calls it on the calling thread, on read-only row blocks of at
+    most 65536 lifts whose buffers it reuses for the next block, so it must
+    neither keep nor modify them.
     ``alternating`` is a declaration that nothing checks.
     """
 
@@ -154,47 +178,42 @@ class _SampleStream:
     common-random-numbers contract).  Each array is held as its (N, p) unit
     directions u; the lifts [u, 1] / sqrt(2) exist only as the row blocks
     given to the cocycle (``_lift_blocks``) and to the pairing product
-    (``_transposed``).  The cocycle, with its sup-norm check, runs here on
-    the calling thread, once per row block.
+    (``_transposed``).  The constructor draws the samples; ``run_cocycle``
+    then evaluates c, with its sup-norm check, on the calling thread, once
+    per row block.
 
     ``evaluate`` pairs the stream with K frames in one pass over its
-    blocks; a call, with one.  Given ``frames``, the constructor checks
-    them before any draw and the helper thread builds their per-block
-    factors while the cocycle runs, kept as ``factors`` for ``evaluate``.
+    blocks; a call, with one.
     """
 
-    def __init__(self, model, entropy, c, n_samples, seed, frames=None):
-        self.degree = c.arity - 1
-        if self.degree not in (0, 1, 2):
-            raise ValueError("degrees n <= 2 are supported")
+    def __init__(self, model, entropy, c, n_samples, seed):
+        self.degree = _degree(c)
         self.model = model
         self.entropy = entropy
         self.sup_norm_bound = c.sup_norm_bound
         self.n_samples = n_samples
-        if frames is not None:
-            self._check(frames)
         self.dirs = _draw_directions(model.p, n_samples, seed, self.degree + 1)
-        pending = None if frames is None else _helper().submit(lambda: list(self._factors(frames)))
-        try:
-            self.values = np.empty(n_samples)
-            for r, lifts in self._lift_blocks():
-                self.values[r] = c(*lifts)
-        finally:
-            if pending is not None:
-                pending.exception()  # waits, not raising: an error leaves no work on the helper
-        self.factors = None if pending is None else pending.result()
+
+    def run_cocycle(self, c):
+        """Evaluate c on the samples, block by block, as ``values``."""
+        self.values = np.empty(self.n_samples)
+        for r, lifts in self._lift_blocks():
+            self.values[r] = c(*lifts)
 
     def _lift_blocks(self):
         """(r, the n+1 arrays' lifts [u, 1] / sqrt(2) on the rows r) per row
-        block, in one reused (rows, p+1) buffer per array, so each block's
-        lifts are valid until the next is made."""
+        block, as read-only views of one reused (rows, p+1) buffer per
+        array, so each block's lifts are valid until the next is made."""
         blocks = _row_blocks(self.n_samples)
         rows = max((r.stop - r.start for r in blocks), default=0)
         bufs = [np.empty((rows, self.model.p + 1), dtype=complex) for _ in self.dirs]
         for buf in bufs:
             buf[:, -1] = 1.0 / np.sqrt(2.0)
         for r in blocks:
-            yield r, [_boundary_lifts(d[r], out=buf[: r.stop - r.start]) for d, buf in zip(self.dirs, bufs)]
+            lifts = [_boundary_lifts(d[r], out=buf[: r.stop - r.start]) for d, buf in zip(self.dirs, bufs)]
+            for view in lifts:
+                view.flags.writeable = False  # a cocycle writing in place would corrupt later blocks
+            yield r, lifts
 
     def _transposed(self, k, r):
         """The real view of array k's lifts on the rows r, transposed and
@@ -208,17 +227,6 @@ class _SampleStream:
 
     def __call__(self, x, *vectors):
         return self.evaluate([(x, vectors)])[0]
-
-    def _check(self, frames):
-        n = self.degree
-        for x, vectors in frames:
-            if len(vectors) != n:
-                raise ValueError(f"degree-{n} form needs {n} tangent vectors")
-            if not x.is_interior:
-                raise ValueError("forms are evaluated at interior points")
-            for v in vectors:
-                if not v.base.same_point_as(x):
-                    raise ValueError("tangent vectors must be based at x")
 
     def _factors(self, frames):
         """Per evaluation block r, (r, weight, wedge): (K, rows) arrays of the
@@ -268,7 +276,7 @@ class _SampleStream:
         the stream once for all the frames.  ``factors`` are the frames'
         checked factors (``_factors``), by default built block by block."""
         if factors is None:
-            self._check(frames)
+            _check_frames(self.degree, frames)
             factors = self._factors(frames)
         n, h, s = self.degree, self.entropy.value, self.model.metric_scale
         integrand = np.empty((len(frames), self.n_samples))
@@ -290,6 +298,26 @@ class _SampleStream:
         ]
 
 
+def _degree(c):
+    """The degree n = arity - 1 of the form of the cocycle c, in 0, 1, 2."""
+    if c.arity - 1 not in (0, 1, 2):
+        raise ValueError("degrees n <= 2 are supported")
+    return c.arity - 1
+
+
+def _check_frames(n, frames):
+    """Raise unless every frame (x, vectors) is an interior x with n
+    tangent vectors based at it."""
+    for x, vectors in frames:
+        if len(vectors) != n:
+            raise ValueError(f"degree-{n} form needs {n} tangent vectors")
+        if not x.is_interior:
+            raise ValueError("forms are evaluated at interior points")
+        for v in vectors:
+            if not v.base.same_point_as(x):
+                raise ValueError("tangent vectors must be based at x")
+
+
 def _draw(rng, out):
     """Fill ``out`` with standard normals.  Returns nothing, so a finished
     future holds no buffer."""
@@ -306,13 +334,13 @@ def _draw_directions(p, n, seed, count):
     """
     rng = np.random.default_rng(seed)
     bufs = [np.empty((2, n, p))]
-    drawn = _helper().submit(_draw, rng, bufs[0])
+    drawn = _submit(_draw, rng, bufs[0])
     dirs = []
     for k in range(count):
         drawn.result()
         if k + 1 < count:
             bufs.append(np.empty((2, n, p)))
-            drawn = _helper().submit(_draw, rng, bufs[-1])
+            drawn = _submit(_draw, rng, bufs[-1])
         dirs.append(_unit_rows(bufs.pop(0)))
     return dirs
 
@@ -327,8 +355,14 @@ def delta_form_eval(model, entropy, c, x, vectors, n_samples=200_000, seed=0):
     weights while this thread normalises the samples and runs the cocycle.
     """
     frames = [(x, vectors)]
-    stream = _SampleStream(model, entropy, c, n_samples, seed, frames=frames)
-    return stream.evaluate(frames, stream.factors)[0]
+    _check_frames(_degree(c), frames)
+    stream = _SampleStream(model, entropy, c, n_samples, seed)
+    pending = _submit(lambda: list(stream._factors(frames)))
+    try:
+        stream.run_cocycle(c)
+    finally:
+        pending.exception()  # waits, not raising: an error leaves no work on the helper
+    return stream.evaluate(frames, pending.result())[0]
 
 
 def delta_form_field(model, entropy, c, n_samples=200_000, seed=0):
@@ -345,7 +379,9 @@ def delta_form_field(model, entropy, c, n_samples=200_000, seed=0):
     ``exterior_derivative_fd`` evaluates its six frames in one pass over
     the stream.
     """
-    return _SampleStream(model, entropy, c, n_samples, seed)
+    stream = _SampleStream(model, entropy, c, n_samples, seed)
+    stream.run_cocycle(c)
+    return stream
 
 
 class BoundaryMapHandle:

@@ -254,11 +254,11 @@ def test_blockwise_sampler_gives_the_whole_array_bytes(p):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 11])
 def test_unit_rows_give_the_bytes_of_linalg_norm(p):
     # the one normaliser sums squared moduli column by column in order;
-    # np.linalg.norm's reduce over these short rows adds the same terms in
-    # the same order
+    # np.linalg.norm's reduce over rows of fewer than 8 terms adds the same
+    # terms in the same order, and longer rows take np.linalg.norm itself
     for n in (1, 2_000, 131_073):
         g = np.random.default_rng(p).standard_normal((2, n, p))
         u = g[0] + 1j * g[1]

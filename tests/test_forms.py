@@ -647,6 +647,48 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     assert run_python("-c", code).stdout.strip() == b"0"
 
 
+def test_a_call_during_interpreter_shutdown_runs_on_the_caller():
+    # once the main thread has returned, the helper can neither be made
+    # (cold) nor take work (warm); a call from a thread that outlives the
+    # main thread, or from an atexit handler, runs the helper's work itself
+    # and gives the bytes of a call made while the interpreter runs
+    fresh = run_python("-c", _VALID_CALL + "print(out)").stdout.decode().strip()
+    for warm in ("", "exec(CALL)"):
+        code = f"""
+import atexit, threading, time
+CALL = {_VALID_CALL!r}
+{warm}
+
+def late():
+    ns = {{}}
+    exec(CALL, ns)
+    print(ns["out"], flush=True)
+
+def after_main():
+    threading.main_thread().join()
+    time.sleep(0.2)
+    late()
+
+atexit.register(late)
+threading.Thread(target=after_main).start()
+"""
+        assert run_python("-c", code).stdout.decode().split() == [fresh, fresh]
+
+
+def test_the_cocycle_gets_read_only_lifts(setup):
+    # the stream reuses its lift buffers block by block, so a cocycle that
+    # wrote into its input (here, dehomogenising) would corrupt the blocks
+    # after it; it raises instead
+    model, ent = setup
+
+    def dehomogenise(a, b, c_):
+        a /= a[:, -1:]
+        return np.zeros(len(a))
+
+    with pytest.raises(ValueError, match="read-only"):
+        delta_form_field(model, ent, BoundaryCocycle(3, dehomogenise, 1.0), n_samples=1_000, seed=39)
+
+
 def test_overlapped_eval_raises_and_recovers(setup, rng, drawn):
     # the cocycle's errors come from the calling thread while the helper
     # builds the frame's factors; frame errors come before any draw; after
