@@ -30,20 +30,26 @@ unit directions u in C^p, whose lifts are [u, 1] / sqrt(2), plus N cocycle
 values: about 21 MB at N = 200k and n = p = 2 (the full lifts took 30 MB).
 The lifts exist only in row blocks (``busemann._row_blocks``); the build
 peaks about 19 MB above what the stream holds, at 40 MB.  An evaluation
-of K frames (points with tangent vectors) reads each block of
-``_EVAL_ROWS`` samples once, pairs it with W = [x, the vectors] of every
-frame in one real matrix product, and takes the weight as the Poisson
-kernel to the power p, with |<xi, O>|^2 a constant; it peaks about 2 MB
-(K = 1) and 13 MB (K = 6) above what the stream holds.
+of K frames (points with tangent vectors) cuts the stream into 20 batches
+of N // 20 samples (the rest is dropped) and each batch into blocks of at
+most ``_EVAL_ROWS``.  It reads each block once, pairs it with
+W = [x, the vectors] of every frame in one real matrix product, and takes
+the weight as the Poisson kernel to the power p, with |<xi, O>|^2 a
+constant.  The integrand of a batch is held, (K, N // 20), until its
+last block is in, and then reduced to its K batch means; an evaluation
+peaks about 1 MB (K = 1) and 9 MB (K = 6) above what the stream holds.
 
 Threads: one module-level helper thread (``_submit``) draws a stream's
-normals, array k+1 while the calling thread normalises array k, and for
-``delta_form_eval`` builds the frame's per-block weights while the calling
-thread runs the cocycle.  The cocycle and every public function run on the
-calling thread, and the bytes of every result are those of a sequential
-run.  A forked child gets a fresh helper, and once the interpreter is
-shutting down, when no thread can be started or scheduled, the caller runs
-the helper's work itself, in the same order.  The overlap pays where BLAS
+normals, array k+1 while the calling thread normalises array k.  For
+``delta_form_eval`` it builds the frame's per-block weights while the
+calling thread runs the cocycle, and in an evaluation of two frames or
+more (``exterior_derivative_fd``'s six) it fills the second half of the
+batches while the calling thread fills the first.  The helper runs only
+private numpy work: the frame checks, the cocycle and every public
+function run on the calling thread, and the bytes of every result are
+those of a sequential run.  A forked child gets a fresh helper, and once
+the interpreter is shutting down, when no thread can be started or
+scheduled, the caller runs the helper's work itself.  The overlap pays where BLAS
 runs one thread per process, as the benchmark runs it; with OpenBLAS's
 default of one thread per core, its worker spins between the cocycle's
 BLAS calls and holds the second core.
@@ -57,11 +63,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .busemann import VisualMeasure, _batch_stats, _boundary_lifts, _poisson_power, _row_blocks, _unit_rows
+from .busemann import (
+    VisualMeasure,
+    _BATCHES,
+    _batch_means,
+    _batch_rows,
+    _boundary_lifts,
+    _mean_stderr,
+    _poisson_power,
+    _row_blocks,
+    _unit_rows,
+)
 from .chains import cartan_triple_lifts, chain_through, sample_chain_point
 from .hermitian import _form_diagonal, _herm, exp_map, tangent
 
-_EVAL_ROWS = 4096  # the rows of one evaluation block, whose pairings stay in cache
+_EVAL_ROWS = 8192  # the most rows of one evaluation block, whose pairings stay in cache
 
 
 _pool = []  # the helper's executor, made on first use
@@ -69,8 +85,9 @@ _pool = []  # the helper's executor, made on first use
 
 def _submit(fn, *args):
     """A future of fn(*args) on the one helper thread.  The helper draws a
-    stream's normals and builds a fresh form's frame factors; the cocycle
-    and every public call stay on the caller.  It is made on first use, so
+    stream's normals, builds a fresh form's frame factors and fills half
+    the batches of a pass over several frames; the cocycle and every
+    public call stay on the caller.  It is made on first use, so
     a program that makes no form imports no ``concurrent.futures`` (and its
     ``logging``, 0.6 MB).  Once the interpreter is shutting down (a call
     from a thread that outlives the main thread, or from an atexit handler),
@@ -182,8 +199,10 @@ class _SampleStream:
     then evaluates c, with its sup-norm check, on the calling thread, once
     per row block.
 
-    ``evaluate`` pairs the stream with K frames in one pass over its
-    blocks; a call, with one.
+    ``evaluate`` pairs the stream with K frames in one pass over the
+    blocks of its 20 batches, reducing each batch as it fills, and with
+    K >= 2 shares the batches with the helper; a call evaluates one frame,
+    on the calling thread.
     """
 
     def __init__(self, model, entropy, c, n_samples, seed):
@@ -228,11 +247,13 @@ class _SampleStream:
     def __call__(self, x, *vectors):
         return self.evaluate([(x, vectors)])[0]
 
-    def _factors(self, frames):
-        """Per evaluation block r, (r, weight, wedge): (K, rows) arrays of the
-        first array's weight e^{xi_0}(x) and of the other arrays' wedge
-        de^{xi_1} ^ ... on the vectors (None in degree 0), for every frame."""
-        n = self.degree
+    def _factors(self, frames, batches):
+        """Per evaluation block r of the given batches, in order, (r, weight,
+        wedge): (K, rows) arrays of the first array's weight e^{xi_0}(x) and
+        of the other arrays' wedge de^{xi_1} ^ ... on the vectors (None in
+        degree 0), for every frame.  Each batch of ``_batch_rows`` samples
+        is cut into ``_row_blocks`` of at most ``_EVAL_ROWS``."""
+        n, size = self.degree, _batch_rows(self.n_samples)
         h, s, m = self.entropy.value, self.model.metric_scale, n + 1
         # the real view (Re xi_0, Im xi_0, Re xi_1, ...) of a lift dotted with
         # that of J W (J the form diagonal) is Re<xi, W>, with that of i J W
@@ -243,7 +264,8 @@ class _SampleStream:
         neg_xx = np.array([[-_herm(x.lift, x.lift).real] for x, _ in frames])
         v_x = np.array([[_herm(v.components, x.lift).real for v in vectors] for x, vectors in frames])
         r2 = 1.0 / np.sqrt(2.0)  # every sample's last coordinate: |<xi, O>|^2 = r2 * r2
-        for r in _row_blocks(self.n_samples, rows=_EVAL_ROWS):
+        blocks = _row_blocks(size, rows=_EVAL_ROWS)
+        for r in (slice(b * size + q.start, b * size + q.stop) for b in batches for q in blocks):
             des = []
             for k in range(1, m):
                 # (de^xi)_x(v) = h s Re<v, U_xi> e^xi with U_xi the unit tangent
@@ -271,20 +293,46 @@ class _SampleStream:
             else:
                 yield r, weight, des[0][0] * des[1][1] - des[0][1] * des[1][0]
 
-    def evaluate(self, frames, factors=None):
-        """One FormEvaluation per frame (x, vectors), reading each block of
-        the stream once for all the frames.  ``factors`` are the frames'
-        checked factors (``_factors``), by default built block by block."""
-        if factors is None:
-            _check_frames(self.degree, frames)
-            factors = self._factors(frames)
-        n, h, s = self.degree, self.entropy.value, self.model.metric_scale
-        integrand = np.empty((len(frames), self.n_samples))
+    def _fill(self, means, factors):
+        """Write the batch means of the integrand values x weight x wedge into
+        the columns of ``means`` (K, batches) from the per-block
+        ``factors``, holding one (K, ``_batch_rows``) batch at a time and
+        reducing it as soon as its last block is in."""
+        size = _batch_rows(self.n_samples)
+        batch = np.empty((len(means), size))
         for r, weight, wedge in factors:
-            block = integrand[:, r]
+            b, start = divmod(r.start, size)
+            block = batch[:, start : start + r.stop - r.start]
             np.multiply(self.values[r], weight, out=block)
             if wedge is not None:
                 block *= wedge
+            if r.stop == (b + 1) * size:
+                means[:, b : b + 1] = _batch_means(batch, 1)
+
+    def evaluate(self, frames, factors=None):
+        """One FormEvaluation per frame (x, vectors), reading each block of
+        the stream once for all the frames.  ``factors`` are the frames'
+        checked factors (``_factors``), by default built block by block:
+        with two frames or more, the helper thread fills the second half of
+        the batches while this thread fills the first."""
+        if factors is None:
+            _check_frames(self.degree, frames)
+        means = np.empty((len(frames), _BATCHES))
+        if factors is None and len(frames) == 1:
+            # too short a pass for the split to pay: at N = 200k one frame
+            # took 14-23 ms on this thread alone and 21-31 ms split
+            factors = self._factors(frames, range(_BATCHES))
+        if factors is not None:
+            self._fill(means, factors)
+        else:
+            half = _BATCHES // 2
+            pending = _submit(self._fill, means, self._factors(frames, range(half, _BATCHES)))
+            try:
+                self._fill(means, self._factors(frames, range(half)))
+            finally:
+                pending.exception()  # waits, not raising: an error leaves no work on the helper
+            pending.result()
+        n, h, s = self.degree, self.entropy.value, self.model.metric_scale
         return [
             FormEvaluation(
                 value=float(mean),
@@ -294,7 +342,7 @@ class _SampleStream:
                             * np.prod([np.sqrt(s * _herm(v.components, v.components).real) for v in vectors])),
                 batch_means=batches,
             )
-            for (_, vectors), (mean, stderr, batches) in zip(frames, map(_batch_stats, integrand))
+            for (_, vectors), batches, mean, stderr in zip(frames, means, *_mean_stderr(means))
         ]
 
 
@@ -357,7 +405,7 @@ def delta_form_eval(model, entropy, c, x, vectors, n_samples=200_000, seed=0):
     frames = [(x, vectors)]
     _check_frames(_degree(c), frames)
     stream = _SampleStream(model, entropy, c, n_samples, seed)
-    pending = _submit(lambda: list(stream._factors(frames)))
+    pending = _submit(lambda: list(stream._factors(frames, range(_BATCHES))))
     try:
         stream.run_cocycle(c)
     finally:
@@ -375,9 +423,10 @@ def delta_form_field(model, entropy, c, n_samples=200_000, seed=0):
     values, about 21 MB at n_samples = 200k, n = p = 2, and building it
     peaks about 19 MB above that.  The field is the stream itself: a call
     runs on the calling thread, costs one real matrix product per sample
-    array and row block and peaks about 2 MB above what is held, and
+    array and row block and peaks about 1 MB above what is held, and
     ``exterior_derivative_fd`` evaluates its six frames in one pass over
-    the stream.
+    the stream, half of the batches on the helper thread, and peaks about
+    9 MB above what is held.
     """
     stream = _SampleStream(model, entropy, c, n_samples, seed)
     stream.run_cocycle(c)
@@ -485,7 +534,7 @@ def exterior_derivative_fd(field_eval, model, x, u, v, w, step=1e-3):
     value = float(sum(terms))
     if term_batches:
         tot = np.sum(term_batches, axis=0)
-        stderr = float(_batch_stats(tot, len(tot))[1])
+        stderr = float(_mean_stderr(tot)[1])
     else:
         stderr = 0.0
     # the check loses meaning once the Monte-Carlo noise cannot resolve the

@@ -18,6 +18,7 @@ from chaingeo import (
 from chaingeo import verify
 from chaingeo.busemann import (
     _BLOCK_ROWS,
+    _poisson_power,
     _row_blocks,
     _unit_rows,
     busemann_kappa,
@@ -198,6 +199,15 @@ def test_weight_exponent_is_p(s):
     for p in (1, 2, 3, 4, 5):
         model = HermitianModel(p, metric_scale=s)
         assert abs(volume_entropy(model).value * busemann_kappa(model) - p) <= 2 * EPS * p
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_integer_weight_exponent_gives_the_float_power_bytes(p):
+    # at the default scale h kappa = p exactly and the kernel is raised to
+    # the int p, which numpy squares in half the time of the float power
+    model = HermitianModel(p)
+    kernel = np.random.default_rng(p).uniform(1e-3, 1e3, size=(6, 5000))
+    assert _poisson_power(model, volume_entropy(model), kernel, 1.0, 1.0).tobytes() == (kernel ** float(p)).tobytes()
 
 
 def test_visual_measure_rotation_invariance_chisquare():

@@ -23,9 +23,9 @@ from chaingeo import (
     volume_entropy,
 )
 from chaingeo import forms, verify
-from chaingeo.busemann import _BLOCK_ROWS, VisualMeasure, _row_blocks, e_xi_lifts
+from chaingeo.busemann import _BLOCK_ROWS, VisualMeasure, _batch_stats, _row_blocks, e_xi_lifts
 from chaingeo.chains import cartan_triple_lifts
-from chaingeo.hermitian import _herm
+from chaingeo.hermitian import ProjPoint, _herm
 
 from conftest import apply_tangent, random_boundary, random_interior, random_tangent, run_python
 from stream_oracle import whole_array_eval, whole_array_lifts
@@ -292,12 +292,18 @@ def test_fd_step_warning(setup, rng):
 
 @pytest.mark.parametrize("n_samples", [0, 10])
 def test_too_few_samples_for_the_batches_raise(setup, rng, n_samples):
-    # each of the 20 batch means needs a sample; empty batches gave NaN
+    # each of the 20 batch means needs a sample; empty batches gave NaN.
+    # A fresh form raises, and so does a field's pass over several frames,
+    # whose second half of the batches is the helper's
     model, ent = setup
     x = random_interior(model, rng)
+    u, v, w = (random_tangent(model, rng, x) for _ in range(3))
     c = _sine_cocycle(rng, 3)
     with pytest.raises(ValueError, match="batches"):
-        delta_form_eval(model, ent, c, x, [random_tangent(model, rng, x)] * 2, n_samples=n_samples)
+        delta_form_eval(model, ent, c, x, [u, v], n_samples=n_samples)
+    field = delta_form_field(model, ent, c, n_samples=n_samples, seed=0)
+    with pytest.raises(ValueError, match="batches"):
+        exterior_derivative_fd(field, model, x, u, v, w)
 
 
 def test_cocycle_rejects_bound_violation(setup, rng):
@@ -467,11 +473,12 @@ def test_cocycle_sees_at_most_one_block(setup, rng):
 
 def test_field_memory_above_what_it_holds(setup, rng):
     # a blockwise stream holds its unit directions and values (19.8 MiB; the
-    # full lifts held 29.0 MiB); its passes add at most one block of
-    # temporaries.  Measured absolute peaks: the build 37.9 MiB (40.2 with
-    # the full lifts, whole-array passes 79), one frame 22.0 and six frames
-    # 32.2 MiB, most of it their six integrands (9.2 MiB) and one block of
-    # pairings for all six
+    # full lifts held 29.0 MiB); its passes add one batch of integrand and
+    # one block of temporaries per thread.  Measured absolute peaks: the
+    # build 37.9 MiB (40.2 with the full lifts, whole-array passes 79), one
+    # frame 20.7-20.9 and six frames 28.3-28.7 MiB (22.0 and 32.2 with the
+    # six whole integrands held, 9.2 MiB), the two threads' blocks of
+    # pairings for all six frames and their (6, N/20) batches
     model, ent = setup
     x = random_interior(model, rng)
     u, v = random_tangent(model, rng, x), random_tangent(model, rng, x)
@@ -485,11 +492,11 @@ def test_field_memory_above_what_it_holds(setup, rng):
         tracemalloc.reset_peak()
         field(x, u, v)
         _, peak = tracemalloc.get_traced_memory()
-        assert peak <= 23 * mib
+        assert peak <= 21.5 * mib
         tracemalloc.reset_peak()
         exterior_derivative_fd(field, model, x, u, v, random_tangent(model, rng, x))
         _, peak = tracemalloc.get_traced_memory()
-        assert peak <= 33 * mib
+        assert peak <= 29.5 * mib
     finally:
         tracemalloc.stop()
 
@@ -515,6 +522,55 @@ def test_each_frame_gets_the_bytes_of_its_own_call(rng, degree, p):
             assert fe.batch_means.tobytes() == one.batch_means.tobytes()
 
 
+@pytest.mark.parametrize("n_samples", [200_000, 131_073, 2_000, 20])
+def test_batch_by_batch_means_are_those_of_the_whole_row(setup, rng, n_samples):
+    # a pass over several frames reduces each batch as it fills, half of
+    # them on the helper; the batch means, mean and error are the bytes of
+    # _batch_stats on each frame's whole row of integrand values
+    model, ent = setup
+    field = delta_form_field(model, ent, _sine_cocycle(rng, 3), n_samples=n_samples, seed=41)
+    frames = []
+    for _ in range(6):
+        x = random_interior(model, rng)
+        frames.append((x, [random_tangent(model, rng, x) for _ in range(2)]))
+    rows = [field.values[r] * weight * wedge for r, weight, wedge in field._factors(frames, range(20))]
+    mean, stderr, batches = _batch_stats(np.concatenate(rows, axis=1))
+    for k, fe in enumerate(field.evaluate(frames)):
+        assert (fe.value, fe.mc_stderr) == (mean[k], stderr[k])
+        assert fe.batch_means.tobytes() == batches[k].tobytes()
+
+
+def test_the_helper_runs_no_public_call(setup, rng, monkeypatch):
+    # the helper fills batches and builds factors, private numpy work; the
+    # frame checks, the chart's exp_map and tangent and the cocycle run on
+    # the calling thread, whose span stack the benchmark's tracer keeps
+    model, ent = setup
+    seen = []
+
+    def spy_on(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            seen.append((name, threading.current_thread()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    for owner, name in [(ProjPoint, "same_point_as"), (BoundaryCocycle, "__call__"), (forms, "exp_map"),
+                        (forms, "tangent"), (forms._SampleStream, "_fill")]:
+        spy_on(owner, name)
+    c = _sine_cocycle(rng, 3)
+    x = random_interior(model, rng)
+    u, v, w = (random_tangent(model, rng, x) for _ in range(3))
+    field = delta_form_field(model, ent, c, n_samples=20_000, seed=42)
+    exterior_derivative_fd(field, model, x, u, v, w)
+    delta_form_eval(model, ent, c, x, [u, v], n_samples=20_000, seed=42)
+    assert {name for name, _ in seen} == {"same_point_as", "__call__", "exp_map", "tangent", "_fill"}
+    assert {t for name, t in seen if name != "_fill"} == {threading.current_thread()}
+    # the stencil shares its batches with the helper
+    assert len({t for name, t in seen if name == "_fill"}) == 2
+
+
 def test_stencil_in_one_pass_gives_the_per_frame_bytes(setup, rng):
     model, ent = setup
     field = delta_form_field(model, ent, _pulled_back_angular_cocycle(), n_samples=N_MC, seed=35)
@@ -530,10 +586,12 @@ def test_stream_lifts_end_in_one_over_sqrt2(rng, p, monkeypatch):
     # the evaluation reads |<xi, O>|^2, O = e_{p+1}, as the constant
     # (1/sqrt(2))^2: every lift block given to the cocycle ends in the
     # column 1/sqrt(2), and every transposed block given to the pairing
-    # product in the rows 1/sqrt(2) and 0
+    # product in the rows 1/sqrt(2) and 0.  The cocycle sees all n rows;
+    # the pairing product the 20 * (n // 20) rows of the 20 batches, as
+    # the evaluation drops the rest
     model = HermitianModel(p)
     inner = _sine_cocycle(rng, 3, dim=p + 1)
-    r2, n = 1.0 / np.sqrt(2.0), 131_073
+    r2, n, batched = 1.0 / np.sqrt(2.0), 131_073, 131_060
     last, tails = [], []
 
     def spy(*lifts):
@@ -552,7 +610,7 @@ def test_stream_lifts_end_in_one_over_sqrt2(rng, p, monkeypatch):
     x = random_interior(model, rng)
     field(x, random_tangent(model, rng, x), random_tangent(model, rng, x))
     assert np.concatenate(last).tobytes() == np.full(3 * n, r2 + 0j).tobytes()
-    assert np.concatenate(tails, axis=1).tobytes() == np.tile([[r2], [0.0]], (1, 3 * n)).tobytes()
+    assert np.concatenate(tails, axis=1).tobytes() == np.tile([[r2], [0.0]], (1, 3 * batched)).tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -594,26 +652,26 @@ out = (np.array([fe.value, fe.mc_stderr, fe.bound]).tobytes() + fe.batch_means.t
 """
 
 
-def test_concurrent_calls_keep_their_bytes(setup, rng):
-    # calls on more threads than cores share the one helper, with the
-    # interpreter switching threads often; each keeps the bytes of its call
-    # made alone
-    model, ent = setup
-    calls = []
-    for seed in range(6):
-        x = random_interior(model, rng)
-        calls.append((_sine_cocycle(rng, 3), x, [random_tangent(model, rng, x) for _ in range(2)], seed))
+def _fresh_form_call(model, ent, rng, seed):
+    x = random_interior(model, rng)
+    c, vs = _sine_cocycle(rng, 3), [random_tangent(model, rng, x) for _ in range(2)]
+    return lambda: delta_form_eval(model, ent, c, x, vs, n_samples=20_000, seed=seed).batch_means.tobytes()
 
-    def run(c, x, vs, seed):
-        fe = delta_form_eval(model, ent, c, x, vs, n_samples=20_000, seed=seed)
-        return fe.batch_means.tobytes()
 
-    want = [run(*call) for call in calls]
+def _shared_field_call(model, field, rng):
+    x = random_interior(model, rng)
+    u, v, w = (random_tangent(model, rng, x) for _ in range(3))
+    return lambda: np.array(exterior_derivative_fd(field, model, x, u, v, w, step=1e-2)).tobytes()
+
+
+def _on_four_threads(calls):
+    """The results of ``calls`` run on four threads, with the interpreter
+    switching threads often."""
     got = [None] * len(calls)
 
     def worker(i):
         for k in range(i, len(calls), 4):
-            got[k] = run(*calls[k])
+            got[k] = calls[k]()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -626,7 +684,22 @@ def test_concurrent_calls_keep_their_bytes(setup, rng):
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert got == want
+    return got
+
+
+def test_concurrent_calls_keep_their_bytes(setup, rng):
+    # calls on more threads than cores share the one helper; each keeps the
+    # bytes of its call made alone: fresh forms, whose factors the helper
+    # builds, and stencils on one shared field, whose batches the helper
+    # and the calling thread share
+    model, ent = setup
+    field = delta_form_field(model, ent, _sine_cocycle(rng, 3), n_samples=20_000, seed=40)
+    for calls in (
+        [_fresh_form_call(model, ent, rng, seed) for seed in range(6)],
+        [_shared_field_call(model, field, rng) for _ in range(6)],
+    ):
+        want = [call() for call in calls]
+        assert _on_four_threads(calls) == want
 
 
 def test_a_forked_child_gets_its_own_helper():
