@@ -232,20 +232,9 @@ def _batch_means(values, n_batches=_BATCHES):
 
 def _mean_stderr(b):
     """The mean and batch-mean standard error of the batch means b along
-    the last axis."""
+    the last axis.  After ``_batch_means``, the one reduction of
+    Monte-Carlo values to an estimate and its error."""
     return b.mean(axis=-1), b.std(axis=-1, ddof=1) / np.sqrt(b.shape[-1])
-
-
-def _batch_stats(values, n_batches=_BATCHES):
-    """Mean, batch-mean standard error and the batch means along the last
-    axis.
-
-    The one reduction of Monte-Carlo values to an estimate and its error,
-    in two steps that a caller may also take apart: ``_batch_means``, then
-    ``_mean_stderr`` of those means.
-    """
-    b = _batch_means(values, n_batches)
-    return (*_mean_stderr(b), b)
 
 
 def measure_transform_check(model, g, n_samples=100_000, seed=0, entropy=None, h_override=None):
@@ -267,7 +256,7 @@ def measure_transform_check(model, g, n_samples=100_000, seed=0, entropy=None, h
     f_push = _test_family(model, pushed)
     f_weighted = _test_family(model, lifts) * e_xi_lifts(model, entropy, lifts, g0_lift)
     diff = f_push - f_weighted
-    mean, stderr, _ = _batch_stats(diff)
+    mean, stderr = _mean_stderr(_batch_means(diff))
     # identically-zero test functions (exact symmetries) leave only rounding
     # noise in both mean and stderr; floor the denominator so their z is ~0
     z = np.abs(mean) / (stderr + 1e-12)
@@ -282,5 +271,5 @@ def unit_mass_check(model, entropy, x, n_samples=100_000, seed=0):
     nu = VisualMeasure(model, seed=seed)
     lifts = nu.sample_lifts(n_samples)
     vals = e_xi_lifts(model, entropy, lifts, x.lift)
-    mean, stderr, _ = _batch_stats(vals)
+    mean, stderr = _mean_stderr(_batch_means(vals))
     return float(mean), float(stderr)

@@ -39,20 +39,17 @@ constant.  The integrand of a batch is held, (K, N // 20), until its
 last block is in, and then reduced to its K batch means; an evaluation
 peaks about 1 MB (K = 1) and 9 MB (K = 6) above what the stream holds.
 
-Threads: one module-level helper thread (``_submit``) draws a stream's
-normals, array k+1 while the calling thread normalises array k.  For
-``delta_form_eval`` it builds the frame's per-block weights while the
-calling thread runs the cocycle, and in an evaluation of two frames or
-more (``exterior_derivative_fd``'s six) it fills the second half of the
-batches while the calling thread fills the first.  The helper runs only
-private numpy work: the frame checks, the cocycle and every public
-function run on the calling thread, and the bytes of every result are
-those of a sequential run.  A forked child gets a fresh helper, and once
-the interpreter is shutting down, when no thread can be started or
-scheduled, the caller runs the helper's work itself.  The overlap pays where BLAS
-runs one thread per process, as the benchmark runs it; with OpenBLAS's
-default of one thread per core, its worker spins between the cocycle's
-BLAS calls and holds the second core.
+Threads: the caller hands private numpy work to one module-level helper
+thread, always through ``_overlap``, for three jobs: it draws a stream's
+next array of normals while the caller normalises the last, builds a
+fresh form's frame factors while the caller runs the cocycle, and fills
+the second half of the batches of a pass over two frames or more while
+the caller fills the first.  The frame checks, the cocycle and every
+public function run on the calling thread, and the bytes of every result
+are those of a sequential run.  The overlap pays where BLAS runs one
+thread per process, as the benchmark runs it; with OpenBLAS's default of
+one thread per core, its worker spins between the cocycle's BLAS calls
+and holds the second core.
 """
 
 from __future__ import annotations
@@ -83,41 +80,37 @@ _EVAL_ROWS = 8192  # the most rows of one evaluation block, whose pairings stay 
 _pool = []  # the helper's executor, made on first use
 
 
-def _submit(fn, *args):
-    """A future of fn(*args) on the one helper thread.  The helper draws a
-    stream's normals, builds a fresh form's frame factors and fills half
-    the batches of a pass over several frames; the cocycle and every
-    public call stay on the caller.  It is made on first use, so
-    a program that makes no form imports no ``concurrent.futures`` (and its
-    ``logging``, 0.6 MB).  Once the interpreter is shutting down (a call
-    from a thread that outlives the main thread, or from an atexit handler),
-    the executor can neither be made nor take work, both raising
-    RuntimeError; then fn runs here, at once."""
+def _overlap(on_helper, here):
+    """(on_helper(), here()), with on_helper run on the one helper thread
+    while here runs on the calling thread: the only way onto the helper,
+    for the three jobs the module docstring names.
+
+    It returns or raises only once the helper is done, so an error leaves
+    no work on the helper: an error of here propagates, and otherwise one
+    of on_helper is raised here.  The helper is made on first use, so a
+    program that makes no form imports no ``concurrent.futures`` (and its
+    ``logging``, 0.6 MB), and a forked child, which has none of its
+    parent's threads, makes its own.  Once the interpreter is shutting down
+    (a call from a thread that outlives the main thread, or from an atexit
+    handler), the executor can neither be made nor take work, both raising
+    RuntimeError; then both run here, on_helper first."""
     try:
         if not _pool:
             from concurrent.futures import ThreadPoolExecutor
 
             _pool.append(ThreadPoolExecutor(1, thread_name_prefix="chaingeo-forms"))
-        return _pool[0].submit(fn, *args)
+        pending = _pool[0].submit(on_helper)
     except RuntimeError:
-        pass
-    return _Done(fn(*args))
+        pending = None
+    if pending is None:
+        return on_helper(), here()
+    try:
+        mine = here()
+    finally:
+        pending.exception()  # waits, not raising
+    return pending.result(), mine
 
 
-class _Done:
-    """The result of a call already run on the caller, read as a future's."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def exception(self):
-        return None
-
-    def result(self):
-        return self.value
-
-
-# a forked child has none of its parent's threads, so it makes its own helper
 os.register_at_fork(after_in_child=_pool.clear)
 
 __all__ = [
@@ -200,9 +193,8 @@ class _SampleStream:
     per row block.
 
     ``evaluate`` pairs the stream with K frames in one pass over the
-    blocks of its 20 batches, reducing each batch as it fills, and with
-    K >= 2 shares the batches with the helper; a call evaluates one frame,
-    on the calling thread.
+    blocks of its 20 batches, reducing each batch as it fills; a call
+    evaluates one frame.
     """
 
     def __init__(self, model, entropy, c, n_samples, seed):
@@ -309,29 +301,23 @@ class _SampleStream:
             if r.stop == (b + 1) * size:
                 means[:, b : b + 1] = _batch_means(batch, 1)
 
-    def evaluate(self, frames, factors=None):
+    def evaluate(self, frames):
         """One FormEvaluation per frame (x, vectors), reading each block of
-        the stream once for all the frames.  ``factors`` are the frames'
-        checked factors (``_factors``), by default built block by block:
-        with two frames or more, the helper thread fills the second half of
-        the batches while this thread fills the first."""
-        if factors is None:
-            _check_frames(self.degree, frames)
+        the stream once for all the frames."""
+        _check_frames(self.degree, frames)
         means = np.empty((len(frames), _BATCHES))
-        if factors is None and len(frames) == 1:
+        if len(frames) == 1:
             # too short a pass for the split to pay: at N = 200k one frame
             # took 14-23 ms on this thread alone and 21-31 ms split
-            factors = self._factors(frames, range(_BATCHES))
-        if factors is not None:
-            self._fill(means, factors)
+            self._fill(means, self._factors(frames, range(_BATCHES)))
         else:
             half = _BATCHES // 2
-            pending = _submit(self._fill, means, self._factors(frames, range(half, _BATCHES)))
-            try:
-                self._fill(means, self._factors(frames, range(half)))
-            finally:
-                pending.exception()  # waits, not raising: an error leaves no work on the helper
-            pending.result()
+            _overlap(lambda: self._fill(means, self._factors(frames, range(half, _BATCHES))),
+                     lambda: self._fill(means, self._factors(frames, range(half))))
+        return self._evaluations(frames, means)
+
+    def _evaluations(self, frames, means):
+        """One FormEvaluation per frame from its row of batch ``means``."""
         n, h, s = self.degree, self.entropy.value, self.model.metric_scale
         return [
             FormEvaluation(
@@ -367,8 +353,8 @@ def _check_frames(n, frames):
 
 
 def _draw(rng, out):
-    """Fill ``out`` with standard normals.  Returns nothing, so a finished
-    future holds no buffer."""
+    """Fill ``out`` with standard normals.  Returns nothing, so the helper
+    hands back no buffer."""
     rng.standard_normal(out=out)
 
 
@@ -376,20 +362,18 @@ def _draw_directions(p, n, seed, count):
     """``count`` arrays of n unit directions in C^p, drawn from one generator
     seeded with ``seed`` as ``VisualMeasure.sample_lifts`` draws its lifts.
 
-    The helper draws array k+1 while the caller normalises array k.  The
-    caller allocates every draw buffer, so the helper's malloc arena stays
-    small, and drops each once it has been read.
+    The caller allocates every draw buffer, so the helper's malloc arena
+    stays small, and drops each once it has been read.
     """
     rng = np.random.default_rng(seed)
-    bufs = [np.empty((2, n, p))]
-    drawn = _submit(_draw, rng, bufs[0])
+    drawn = np.empty((2, n, p))
+    _draw(rng, drawn)
     dirs = []
-    for k in range(count):
-        drawn.result()
-        if k + 1 < count:
-            bufs.append(np.empty((2, n, p)))
-            drawn = _submit(_draw, rng, bufs[-1])
-        dirs.append(_unit_rows(bufs.pop(0)))
+    for _ in range(count - 1):
+        normals, drawn = drawn, np.empty((2, n, p))
+        dirs.append(_overlap(lambda: _draw(rng, drawn), lambda: _unit_rows(normals))[1])
+        del normals  # two draw buffers at a time
+    dirs.append(_unit_rows(drawn))
     return dirs
 
 
@@ -399,34 +383,29 @@ def delta_form_eval(model, entropy, c, x, vectors, n_samples=200_000, seed=0):
     ``vectors`` is a sequence of n := arity-1 TangentVectors (n in 0, 1, 2).
     Deterministic per (seed, n_samples); antisymmetric in the vectors by
     construction of the estimator.  The frame is checked before any sample
-    is drawn; the helper thread draws the samples and builds the frame's
-    weights while this thread normalises the samples and runs the cocycle.
+    is drawn.
     """
     frames = [(x, vectors)]
     _check_frames(_degree(c), frames)
     stream = _SampleStream(model, entropy, c, n_samples, seed)
-    pending = _submit(lambda: list(stream._factors(frames, range(_BATCHES))))
-    try:
-        stream.run_cocycle(c)
-    finally:
-        pending.exception()  # waits, not raising: an error leaves no work on the helper
-    return stream.evaluate(frames, pending.result())[0]
+    factors, _ = _overlap(lambda: list(stream._factors(frames, range(_BATCHES))), lambda: stream.run_cocycle(c))
+    means = np.empty((1, _BATCHES))
+    stream._fill(means, factors)
+    return stream._evaluations(frames, means)[0]
 
 
 def delta_form_field(model, entropy, c, n_samples=200_000, seed=0):
     """Callable ``field(x, *vectors)`` evaluating the form of c at arbitrary
     points on one sample stream (common random numbers across points).
 
-    The stream is drawn, and the cocycle evaluated, once, here, on this
-    thread while the helper thread draws the normals; the field holds
-    (n+1) * n_samples * p complex unit directions and n_samples cocycle
-    values, about 21 MB at n_samples = 200k, n = p = 2, and building it
-    peaks about 19 MB above that.  The field is the stream itself: a call
-    runs on the calling thread, costs one real matrix product per sample
-    array and row block and peaks about 1 MB above what is held, and
+    The stream is drawn, and the cocycle evaluated, once, here; the field
+    holds (n+1) * n_samples * p complex unit directions and n_samples
+    cocycle values, about 21 MB at n_samples = 200k, n = p = 2, and
+    building it peaks about 19 MB above that.  The field is the stream
+    itself: a call costs one real matrix product per sample array and row
+    block and peaks about 1 MB above what is held, and
     ``exterior_derivative_fd`` evaluates its six frames in one pass over
-    the stream, half of the batches on the helper thread, and peaks about
-    9 MB above what is held.
+    the stream and peaks about 9 MB above what is held.
     """
     stream = _SampleStream(model, entropy, c, n_samples, seed)
     stream.run_cocycle(c)

@@ -134,12 +134,15 @@ class ProjPoint:
 
     The stored lift is canonical: last coordinate real and positive, and
     <X,X> = -1 for interior points or Euclidean norm 1 for boundary points.
-    Classification uses the relative tolerance TOL_NULL.
+    Classification uses the relative tolerance TOL_NULL; a stated ``kind``
+    is "interior" or "boundary".
     """
 
     __slots__ = ("lift", "kind", "model")
 
     def __init__(self, lift, model, kind=None):
+        if kind not in (None, "interior", "boundary"):
+            raise ValueError(f"kind must be None, 'interior' or 'boundary', got {kind!r}")
         v = np.asarray(lift, dtype=complex).copy()
         if v.shape != (model.dim,):
             raise ValueError(f"lift must have shape ({model.dim},)")

@@ -12,7 +12,7 @@ with it to rounding.
 
 import numpy as np
 
-from chaingeo.busemann import _batch_stats, busemann_kappa
+from chaingeo.busemann import _batch_means, _mean_stderr, busemann_kappa
 from chaingeo.hermitian import _herm, _pairings
 
 
@@ -57,4 +57,5 @@ def whole_array_eval(model, entropy, c, x, vectors, n_samples, seed):
         integrand = integrand * des[0][0]
     elif len(vectors) == 2:
         integrand = integrand * (des[0][0] * des[1][1] - des[0][1] * des[1][0])
-    return _batch_stats(integrand)
+    batches = _batch_means(integrand)
+    return (*_mean_stderr(batches), batches)

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
 import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from chaingeo import (
     volume_entropy,
 )
 from chaingeo import forms, verify
-from chaingeo.busemann import _BLOCK_ROWS, VisualMeasure, _batch_stats, _row_blocks, e_xi_lifts
+from chaingeo.busemann import _BLOCK_ROWS, VisualMeasure, _batch_means, _mean_stderr, _row_blocks, e_xi_lifts
 from chaingeo.chains import cartan_triple_lifts
 from chaingeo.hermitian import ProjPoint, _herm
 
@@ -526,7 +529,8 @@ def test_each_frame_gets_the_bytes_of_its_own_call(rng, degree, p):
 def test_batch_by_batch_means_are_those_of_the_whole_row(setup, rng, n_samples):
     # a pass over several frames reduces each batch as it fills, half of
     # them on the helper; the batch means, mean and error are the bytes of
-    # _batch_stats on each frame's whole row of integrand values
+    # _batch_means and _mean_stderr on each frame's whole row of integrand
+    # values
     model, ent = setup
     field = delta_form_field(model, ent, _sine_cocycle(rng, 3), n_samples=n_samples, seed=41)
     frames = []
@@ -534,7 +538,8 @@ def test_batch_by_batch_means_are_those_of_the_whole_row(setup, rng, n_samples):
         x = random_interior(model, rng)
         frames.append((x, [random_tangent(model, rng, x) for _ in range(2)]))
     rows = [field.values[r] * weight * wedge for r, weight, wedge in field._factors(frames, range(20))]
-    mean, stderr, batches = _batch_stats(np.concatenate(rows, axis=1))
+    batches = _batch_means(np.concatenate(rows, axis=1))
+    mean, stderr = _mean_stderr(batches)
     for k, fe in enumerate(field.evaluate(frames)):
         assert (fe.value, fe.mc_stderr) == (mean[k], stderr[k])
         assert fe.batch_means.tobytes() == batches[k].tobytes()
@@ -788,6 +793,57 @@ def test_overlapped_eval_raises_and_recovers(setup, rng, drawn):
         ns = {}
         exec(_VALID_CALL, ns)
         assert ns["out"] == fresh
+
+
+def test_overlap_contract():
+    # _overlap returns or raises only once the helper is done: a helper
+    # error reaches the caller after here has returned, a caller error
+    # propagates after the helper's callable has finished (and wins over a
+    # helper error), and a later call still runs on the helper
+    failed, order = threading.Event(), []
+
+    def helper_fails():
+        failed.set()
+        raise KeyError("helper")
+
+    def here_after_the_helper_failed():
+        failed.wait(10)
+        order.append("here returned")
+
+    with pytest.raises(KeyError, match="helper"):
+        forms._overlap(helper_fails, here_after_the_helper_failed)
+    assert order == ["here returned"]
+
+    started, finished = threading.Event(), threading.Event()
+
+    def slow_helper():
+        started.set()
+        time.sleep(0.1)
+        finished.set()
+
+    def here_fails():
+        started.wait(10)
+        raise KeyError("here")
+
+    with pytest.raises(KeyError, match="here"):
+        forms._overlap(slow_helper, here_fails)
+    assert finished.is_set()
+    with pytest.raises(KeyError, match="here"):
+        forms._overlap(helper_fails, here_fails)
+
+    helper, here = forms._overlap(threading.current_thread, threading.current_thread)
+    assert here is threading.current_thread()
+    assert helper is not here and helper.name.startswith("chaingeo-forms")
+
+
+def test_overlap_is_the_one_way_onto_the_helper():
+    # forms.py hands work to its executor in one place, inside _overlap
+    tree = ast.parse(Path(forms.__file__).read_text())
+    submits = [node for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "submit"]
+    overlap = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_overlap")
+    assert len(submits) == 1
+    assert any(node is submits[0] for node in ast.walk(overlap))
 
 
 @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -1.0])

@@ -96,6 +96,14 @@ def test_projpoint_classification(disc):
         ProjPoint(np.array([1.0, 0.5]), model=disc)  # positive vector
 
 
+@pytest.mark.parametrize("kind", ["weird", "exterior", "Interior", ""])
+def test_projpoint_rejects_unknown_kind(disc, kind):
+    # only a computed kind (None) or a stated "interior" or "boundary"
+    # builds a point; "exterior" names no point of the space or its boundary
+    with pytest.raises(ValueError, match="kind must be"):
+        ProjPoint(np.array([0.2, 1.0]), model=disc, kind=kind)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_projpoint_rejects_nonfinite_lift(plane2, bad):
     with pytest.raises(ValueError, match="nonzero and finite"):
