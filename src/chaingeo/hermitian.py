@@ -183,24 +183,26 @@ class ProjPoint:
 
 
 def _same_line(A, B, tol=1e-9):
-    """Whether the lifts A and B (last axis, broadcast) span the same line.
-
-    The distance is the norm of the phase-aligned difference of unit
-    lifts, which stays accurate near zero (no sqrt(1 - cos^2)
-    cancellation).  Lifts with a vanishing pairing are never equal.  One
-    pair (1-D lifts) is tested on Python floats, a stack on numpy arrays.
-    """
+    """Whether the lifts A and B (last axis, broadcast) span the same line,
+    their ``_line_distance`` below ``tol``.  One pair (1-D lifts) is tested
+    on Python floats, a stack on numpy arrays."""
     if A.ndim == B.ndim == 1:
         a, b = _parts(A), _parts(B)
         return _same_line_parts(a, b, math.sqrt(_sq_norm(a)), math.sqrt(_sq_norm(b)), tol)
+    return _line_distance(A, B) < tol
+
+
+def _line_distance(A, B):
+    """|A/|A| - B w| for stacks of lifts A and B (last axis, broadcast), w the
+    phase of their pairing on B's unit lift: the lines' distance, accurate near
+    0 (a sine taken from the cosine cancels there); inf if the pairing vanishes."""
     nA = np.sqrt(np.vecdot(A, A).real)
     nB = np.sqrt(np.vecdot(B, B).real)
     ph = np.vecdot(B, A)  # <A, B> up to the norms
     r = np.abs(ph)
-    # the phase of <A, B> carried onto the unit lift of B
     w = ph / (np.maximum(r, 1e-300) * nB)
     diff = A / nA[..., None] - B * w[..., None]
-    return (r >= 1e-300 * nA * nB) & (np.sqrt(np.vecdot(diff, diff).real) < tol)
+    return np.where(r >= 1e-300 * nA * nB, np.sqrt(np.vecdot(diff, diff).real), np.inf)
 
 
 def _same_line_parts(a, b, na, nb, tol):

@@ -10,18 +10,19 @@ source pairs are drawn at once and tested in draw order, a block at a
 time: |<v, z>|^2 is the dot product of d^2 real features of v and of z, so
 a sample's distance from a pair's chain is linear in its features, and one
 float32 product of the pairs' rows with the samples' feature table per
-block rules out the far samples.  One stacked span test decides the rest
-when they could complete the count.  The report matches the pair-by-pair
-loop's.
+block rules out the far samples; each pair's own two points are dropped
+before the block is scanned.  One stacked span test decides the rest when
+they could complete the count.  The report matches the pair-by-pair loop's.
 
 The fit proceeds in three stages: a projective direct linear solve (each
 sample constrains W xi to the line of its target), an alternation of
 per-sample phase alignment with linear least squares, and a projection
 onto the exact form isometries <Wv, Ww>_q = lambda <v, w>_p by the J-polar
 factor of the generalized polar decomposition, an inverse square root
-taken through an eigendecomposition.  Samples are trimmed once
-when gross outliers are present, so a small corrupted fraction does not
-spoil the model; the per-sample residual report identifies the outliers.
+taken through an eigendecomposition.  Residuals are phase-aligned line
+distances, at rounding level on a clean map, which is fit once.  Gross
+outliers are trimmed and the model refit, so a small corrupted fraction
+does not spoil it; the per-sample residual report identifies them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .chains import _in_span, cartan_triple_lifts
-from .hermitian import _norm, _same_line
+from .hermitian import _line_distance, _norm, _same_line
 from .isometries import EmbeddingMap, _eig_function, _form_residual, _pulled_back_form
 
 __all__ = [
@@ -135,16 +136,18 @@ def _candidates(units, table, pairs, tol):
     on the chain through row t = (a, b) of ``pairs``; no others do.
 
     One float32 product of the ``_pair_rows`` with the contiguous float32
-    ``table`` rules out the lifts with 1 - r^2 < 1 - tol^2 - slack.  Rounding
-    psi(u_a), R (|R| <= 2) and psi(u_z) (norm 1) to float32, the d^2-term
-    product and the threshold err by at most (2 d^2 + 6) u = (d^2 + 3) eps32,
-    so slack = 4 (d^2 + 3) eps32 covers them, and R's float64 error, 4 times.
-    """
+    ``table`` rules out the lifts with 1 - r^2 < 1 - tol^2 - slack.  Each
+    row's own a and b are cleared before the scan, which then visits only
+    the rows with a hit left.  Rounding psi(u_a), R (|R| <= 2) and psi(u_z)
+    (norm 1) to float32, the d^2-term product and the threshold err by at
+    most (2 d^2 + 6) u = (d^2 + 3) eps32, so slack = 4 (d^2 + 3) eps32
+    covers them, and R's float64 error, 4 times."""
     slack = 4 * (len(table) + 3) * np.finfo(np.float32).eps  # len(table) = d^2
     cand = _pair_rows(units, table, pairs) @ table >= 1.0 - tol**2 - slack
-    t, z = np.divmod(np.flatnonzero(cand), units.shape[1])
-    keep = (z != pairs[t, 0]) & (z != pairs[t, 1])
-    return t[keep], z[keep]
+    cand[np.arange(len(pairs))[:, None], pairs] = False
+    hit = np.flatnonzero(cand.any(axis=1))
+    t, z = np.divmod(np.flatnonzero(cand[hit]), units.shape[1])
+    return hit[t], z
 
 
 def _mine_cochain(rng, lifts, n_triples, tol):
@@ -211,10 +214,12 @@ def chain_compatibility_check(sample_map, n_triples=300, seed=0, tol=1e-7):
     img_cochain = int(on_image.sum())
     orient_match = int((on_image & (np.sign(cp) == np.sign(cq))).sum())
 
+    # both masks exclude i, j on one line, so a span test decides the rest
     i, j, k = triples.T
     generic = ~(_same_line(src[i], src[j]) | _same_line(src[j], src[k]))
-    generic &= ~_on_chain(src, triples, tol)
-    img_generic = generic & ~_same_line(tgt[i], tgt[j]) & ~_on_chain(tgt, triples, tol_q)
+    generic &= ~_in_span(np.stack([src[i], src[j]], axis=-1), src[k], tol)
+    img_generic = generic & ~_same_line(tgt[i], tgt[j])
+    img_generic &= ~_in_span(np.stack([tgt[i], tgt[j]], axis=-1), tgt[k], tol_q)
     n_generic = int(generic.sum())
 
     nc = len(cochain)
@@ -228,12 +233,9 @@ def chain_compatibility_check(sample_map, n_triples=300, seed=0, tol=1e-7):
 
 
 def _projective_residuals(W, src, tgt):
-    img = src @ W.T
-    ip = np.abs(np.sum(img * np.conj(tgt), axis=1))
-    n1 = np.linalg.norm(img, axis=1)
-    n2 = np.linalg.norm(tgt, axis=1)
-    cos2 = np.clip((ip / (n1 * n2)) ** 2, 0.0, 1.0)
-    return np.sqrt(1.0 - cos2)
+    """``_line_distance`` of each image W xi from its target; inf for a NaN fit."""
+    with np.errstate(invalid="ignore"):
+        return _line_distance(src @ W.T, tgt)
 
 
 def _dlt(src, tgt):
@@ -302,8 +304,11 @@ def fit_embedding(sample_map, compatibility=None, plateau=1e-4, seed=0):
 
     Runs the compatibility gate first (fractions >= 0.99 required); an
     orientation-reversing map is refit through conjugated source samples
-    and reported with mode='antiholomorphic'.  Raises NoRigidModelError
-    when the residual plateau exceeds ``plateau``.
+    and reported with mode='antiholomorphic'.  Residuals are phase-aligned
+    line distances, at rounding level on a clean map, whose fit trims
+    nothing; otherwise samples above max(10 median, 1e-8), if at most a
+    quarter, are trimmed and the model refit.  Raises NoRigidModelError
+    when the kept samples' median residual exceeds ``plateau``.
     Returns (EmbeddingMap, FitDiagnostics).
     """
     report = compatibility or chain_compatibility_check(sample_map, seed=seed)
@@ -322,21 +327,14 @@ def fit_embedding(sample_map, compatibility=None, plateau=1e-4, seed=0):
     if mode == "antiholomorphic":
         src = np.conj(src)
     tgt = sample_map.target_lifts
-    W = _dlt(src, tgt)
-    W = _alternate(W, src, tgt)
+    W = _alternate(_dlt(src, tgt), src, tgt)
     res = _projective_residuals(W, src, tgt)
-    trimmed = []
-    med = np.median(res)
-    bad = np.where(res > max(10 * med, 1e-8))[0]
-    if len(bad) and len(bad) <= len(res) // 4:
-        keep = np.setdiff1d(np.arange(len(res)), bad)
-        trimmed = bad.tolist()
-        W = _dlt(src[keep], tgt[keep])
-        W = _alternate(W, src[keep], tgt[keep])
+    keep = ~(res > max(10 * np.median(res), 1e-8))
+    keep |= keep.sum() < len(res) - len(res) // 4  # trim at most a quarter
+    if not keep.all():
+        W = _alternate(_dlt(src[keep], tgt[keep]), src[keep], tgt[keep])
     W, lam = _isometry_project(W, sample_map.p, sample_map.q)
-    res = _projective_residuals(W, src, tgt)
-    clean = np.setdiff1d(np.arange(len(res)), np.array(trimmed, dtype=int))
-    med = float(np.median(res[clean]))
+    med = float(np.median(_projective_residuals(W, src, tgt)[keep]))
     if not med <= plateau:
         raise NoRigidModelError(
             f"no rigid model: residual plateau {med:.2e} exceeds {plateau:.0e}"
@@ -346,7 +344,7 @@ def fit_embedding(sample_map, compatibility=None, plateau=1e-4, seed=0):
         median_residual=med,
         isometry_residual=_form_residual(W, lam, sample_map.p, sample_map.q),
         mode=mode,
-        trimmed=trimmed,
+        trimmed=np.flatnonzero(~keep).tolist(),
     )
     return emb, diags
 

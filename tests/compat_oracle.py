@@ -15,7 +15,7 @@ import numpy as np
 
 from chaingeo.chains import cartan_triple_lifts, chain_through
 from chaingeo.hermitian import HermitianModel, ProjPoint
-from chaingeo.reconstruction import CompatibilityReport
+from chaingeo.reconstruction import CompatibilityReport, _pair_rows
 
 
 def svd_in_span(span, lifts, tol):
@@ -89,6 +89,17 @@ def gram_candidate_count(L, pairs, tol, slack=1e-8, near=1e-4):
         keep[[a, b]] = False
         count += int(keep.sum())
     return count
+
+
+def scan_then_drop_candidates(units, table, pairs, tol):
+    """The (t, z) of ``reconstruction._candidates`` by a scan of every row:
+    one ``flatnonzero`` over the whole (B, n) comparison, then the hits on
+    a pair's own a and b dropped."""
+    slack = 4 * (len(table) + 3) * np.finfo(np.float32).eps
+    cand = _pair_rows(units, table, pairs) @ table >= 1.0 - tol**2 - slack
+    t, z = np.divmod(np.flatnonzero(cand), units.shape[1])
+    keep = (z != pairs[t, 0]) & (z != pairs[t, 1])
+    return t[keep], z[keep]
 
 
 def compatibility_loop(sample_map, n_triples=300, seed=0, tol=1e-7):

@@ -26,10 +26,17 @@ from chaingeo.reconstruction import (
     _isometry_project,
     _on_chain,
     _pair_rows,
+    _projective_residuals,
 )
 from chaingeo.verify import _planted_sample_map
 
-from compat_oracle import compatibility_loop, gram_candidate_count, planted_span_lifts, svd_in_span
+from compat_oracle import (
+    compatibility_loop,
+    gram_candidate_count,
+    planted_span_lifts,
+    scan_then_drop_candidates,
+    svd_in_span,
+)
 
 
 def _points(lifts, p):
@@ -177,6 +184,33 @@ def test_span_members_match_in_span():
         for z, (pair, inside) in planted.items():
             for a, b in (pair, pair[::-1]):
                 assert (z in members[40 * a + b]) == inside
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_candidates_match_scan_then_drop(seed):
+    """Clearing each pair's own columns before the scan gives the (t, z)
+    of scanning every row and dropping a and b afterwards, in the same
+    order, on blocks with repeated points (a == b), near pairs (h below
+    ``_NEAR_PAIR``, every other lift a candidate) and repeated pairs."""
+    rng = np.random.default_rng(seed)
+    p = 1 + seed % 3
+    n = 60
+    L, _ = planted_span_lifts(rng, p, 1e-7, n=n)
+    for k in range(40, n):  # near copies of the first lifts
+        e = rng.normal(size=p + 1) + 1j * rng.normal(size=p + 1)
+        L[k] = L[k - 40] + rng.choice([1e-3, 1e-6]) * e / np.linalg.norm(e)
+        L[k] /= np.linalg.norm(L[k])
+    units = np.ascontiguousarray(L.T)
+    table = _features(units).astype(np.float32)
+    pairs = rng.integers(0, n, size=(300, 2))
+    pairs[::7, 1] = pairs[::7, 0]
+    pairs[1::9] = pairs[0]
+    pairs[2::11] = [[k - 40, k] for k in rng.integers(40, n, size=len(pairs[2::11]))]
+    pairs[3::13] = [0, 1]
+    t, z = _candidates(units, table, pairs, 1e-7)
+    want_t, want_z = scan_then_drop_candidates(units, table, pairs, 1e-7)
+    assert t.tolist() == want_t.tolist() and z.tolist() == want_z.tolist()
+    assert len(np.unique(t)) > 10
 
 
 def test_compatibility_makes_no_svd(monkeypatch):
@@ -331,6 +365,46 @@ def test_cartan_transport_of_fit(rng):
         cq = cartan_triple_lifts(img[0][None], img[1][None], img[2][None])[0]
         worst = max(worst, abs(cp - cq))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_line_distance_matches_long_double(gap):
+    """The fit's residual of lines ``gap`` apart, at p = 1..3 with random
+    lift scales and phases, is within a few eps of the same phase-aligned
+    distance taken in long double, well below the 1.5e-8 at which
+    sqrt(1 - cos^2) rounds to zero."""
+    rng = np.random.default_rng(11)
+    for p in (1, 2, 3):
+        d = p + 1
+        a = rng.normal(size=(50, d)) + 1j * rng.normal(size=(50, d))
+        e = rng.normal(size=(50, d)) + 1j * rng.normal(size=(50, d))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        e -= np.sum(a.conj() * e, axis=1, keepdims=True) * a
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        scale = rng.uniform(0.1, 10, size=(50, 1)) * np.exp(1j * rng.uniform(0, 7, size=(50, 1)))
+        A = a * rng.uniform(0.1, 10, size=(50, 1))
+        B = (np.cos(gap) * a + np.sin(gap) * e) * scale
+        res = _projective_residuals(np.eye(d), A, B)
+        Al, Bl = A.astype(np.clongdouble), B.astype(np.clongdouble)
+        ph = np.sum(Bl.conj() * Al, axis=1)
+        w = ph / (np.abs(ph) * np.sqrt(np.sum(np.abs(Bl) ** 2, axis=1)))
+        diff = Al / np.sqrt(np.sum(np.abs(Al) ** 2, axis=1))[:, None] - Bl * w[:, None]
+        ref = np.sqrt(np.sum(np.abs(diff) ** 2, axis=1))
+        assert np.abs(ref - 2 * np.sin(gap / 2)).max() < 1e-15
+        assert np.abs(res - ref).max() <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_clean_fit_trims_nothing_and_fits_once(q, monkeypatch):
+    """A planted map's residuals are at rounding level, so its fit trims no
+    sample and makes one direct linear solve."""
+    smap = _planted_sample_map(np.random.default_rng(q), 2, q, 152)[0]
+    calls = []
+    dlt = reconstruction._dlt
+    monkeypatch.setattr(reconstruction, "_dlt", lambda *a: calls.append(a) or dlt(*a))
+    _, diags = fit_embedding(smap, seed=0)
+    assert diags.trimmed == [] and len(calls) == 1
+    assert diags.median_residual < 1e-14
 
 
 def test_fit_rejects_nonfinite_projection(rng, monkeypatch):
