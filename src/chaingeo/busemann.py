@@ -80,7 +80,7 @@ class VisualMeasure:
 
     def sample_points(self, n, rng=None):
         return [
-            ProjPoint(v, model=self.model, kind="boundary")
+            ProjPoint(v, model=self.model)
             for v in self.sample_lifts(n, rng=rng)
         ]
 

@@ -166,19 +166,22 @@ def chain_contains(C, zeta, tol=1e-8):
     return bool(_in_span(C.span, zeta.lift, tol))
 
 
+def _chain_lifts(C, t):
+    """Lifts exp(i t) pos + neg of the chain's points at the angles t, taken
+    with the chain's orientation, along a last axis after the shape of t."""
+    tt = C.orientation * np.asarray(t, dtype=float)
+    return np.exp(1j * tt)[..., None] * C._pos + C._neg
+
+
 def sample_chain_point(C, t):
-    """Boundary point of the chain at angle t; injective on [0, 2pi).
+    """Boundary point of the chain at angle t; injective on [0, 2pi).  An
+    array of angles gives the list of their points.
 
     Increasing t traverses the chain positively for orientation +1: three
     increasing angles within one period have angular invariant equal to the
     chain's orientation.
     """
-    tt = C.orientation * np.asarray(t, dtype=float)
-    if np.ndim(tt) == 0:
-        v = np.exp(1j * tt) * C._pos + C._neg
-        return ProjPoint(v, model=C.model, kind="boundary")
-    return [
-        ProjPoint(np.exp(1j * a) * C._pos + C._neg, model=C.model, kind="boundary")
-        for a in tt
-    ]
-
+    v = _chain_lifts(C, t)
+    if v.ndim == 1:
+        return ProjPoint(v, model=C.model)
+    return [ProjPoint(l, model=C.model) for l in v]

@@ -188,7 +188,7 @@ def _cmd_delta_form(args):
     rng = np.random.default_rng(seed)
     u = rng.normal(size=args.p) + 1j * rng.normal(size=args.p)
     u *= 0.4 / np.linalg.norm(u)
-    x = ProjPoint(np.concatenate([u, [1.0 + 0j]]), model=model, kind="interior")
+    x = ProjPoint(np.concatenate([u, [1.0 + 0j]]), model=model)
     v1 = tangent(model, x, rng.normal(size=args.p + 1) + 1j * rng.normal(size=args.p + 1))
     v2 = tangent(model, x, rng.normal(size=args.p + 1) + 1j * rng.normal(size=args.p + 1))
     fe = pullback_kappa_form(model, ent, phi, x, v1, v2, n_samples=args.samples, seed=seed)
@@ -215,10 +215,11 @@ def _cmd_reconstruct(args):
         isinstance(ab, list) and len(ab) == 2 for ab in data["pairs"]
     ):
         raise ValueError(f"{args.samples}: 'pairs' must list [source, target] point pairs")
-    pairs = [
-        (ser.json_to_point(a, mp), ser.json_to_point(b, mq)) for a, b in data["pairs"]
-    ]
-    smap = BoundarySampleMap(pairs=pairs, p=p, q=q)
+    smap = BoundarySampleMap.from_lifts(
+        ser.json_to_lifts([a for a, _ in data["pairs"]], mp),
+        ser.json_to_lifts([b for _, b in data["pairs"]], mq),
+        p, q,
+    )
     seed = _default_seed(args)
     report = chain_compatibility_check(smap, seed=seed)
     payload = {

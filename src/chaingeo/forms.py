@@ -560,14 +560,10 @@ def chain_formula_check(
         C = chain_through(model_p, a, b)
         ts = rng.uniform(0.0, 2 * np.pi, size=(triples_per_chain, 3))
         for row in ts:
-            pts = [sample_chain_point(C, t) for t in row]
-            if (
-                pts[0].same_point_as(pts[1])
-                or pts[1].same_point_as(pts[2])
-                or pts[2].same_point_as(pts[0])
-            ):
+            pts = sample_chain_point(C, row)
+            if any(pts[k].same_point_as(pts[(k + 1) % 3]) for k in range(3)):
                 continue
-            lifts = [p.lift[None, :] for p in pts]
+            lifts = [x.lift[None, :] for x in pts]
             cp = cartan_triple_lifts(*lifts)[0]
             cq = cartan_triple_lifts(*(phi(l) for l in lifts))[0]
             # np.maximum, unlike max, keeps a NaN residual

@@ -19,6 +19,10 @@ vertices, is the phase of the Hermitian triple product of its vertex
 lifts.  The test suite checks this closed form against an independent
 quadrature of the form over a cone filling.
 
+``_classify`` alone decides what lifts are: canonical lifts and boundary
+flags of one lift or a stack, for ``ProjPoint``, the JSON readers and
+sample maps built from lift arrays.
+
 Only this module writes the form; other modules pair vectors through
 ``inner`` or ``_herm`` (last axis), ``_pairings`` (sample arrays) and
 ``_gram`` (the Gram matrix A* J B of two sets of columns).  The holonomy
@@ -132,38 +136,20 @@ def _gram(A, B):
 class ProjPoint:
     """Projective class of a nonzero vector: a point of H_C^p or its boundary.
 
-    The stored lift is canonical: last coordinate real and positive, and
-    <X,X> = -1 for interior points or Euclidean norm 1 for boundary points.
-    Classification uses the relative tolerance TOL_NULL; a stated ``kind``
-    is "interior" or "boundary".
+    ``_classify`` makes the lift canonical: last coordinate real and
+    positive, and <X,X> = -1 for interior points or Euclidean norm 1 for
+    boundary points.  A stated ``kind`` is checked against the computed one.
     """
 
     __slots__ = ("lift", "kind", "model")
 
     def __init__(self, lift, model, kind=None):
-        if kind not in (None, "interior", "boundary"):
-            raise ValueError(f"kind must be None, 'interior' or 'boundary', got {kind!r}")
-        v = np.asarray(lift, dtype=complex).copy()
+        v = np.asarray(lift)
         if v.shape != (model.dim,):
             raise ValueError(f"lift must have shape ({model.dim},)")
-        nrm = np.linalg.norm(v)
-        if not 0.0 < nrm < np.inf:
-            raise ValueError("lift must be nonzero and finite")
-        v /= nrm
-        q = _herm(v, v).real  # |q| <= 1 after Euclidean normalization
-        if kind is None:
-            kind = "boundary" if abs(q) <= TOL_NULL else ("interior" if q < 0 else "exterior")
-        if kind == "exterior" or (kind == "interior" and q >= 0):
-            raise ValueError("vector does not span a negative or null line")
-        if kind == "interior":
-            v /= np.sqrt(-q)
-        # pin the phase: last coordinate real positive (never zero on the
-        # closed cone of nonpositive lines)
-        last = v[-1]
-        if abs(last) > 0:
-            v *= np.conj(last) / abs(last)
-        self.lift = v
-        self.kind = kind
+        self.lift, boundary = _classify(v)
+        self.kind = "boundary" if boundary else "interior"
+        _check_kind(kind, self.kind)
         self.model = model
 
     @property
@@ -180,6 +166,47 @@ class ProjPoint:
     def same_point_as(self, other, tol=1e-9):
         """Projective equality test (lift-independent); see ``_same_line``."""
         return bool(_same_line(self.lift, other.lift, tol))
+
+
+def _classify(lifts):
+    """Canonical lifts of one lift or of a stack (rows), and whether each is
+    a boundary point.  A row is divided by its norm ``_norm``; then
+    |q| <= TOL_NULL for q = <v, v> is a boundary point, q < 0 an interior
+    one (rescaled to <v, v> = -1), and q > 0 raises ``ValueError``, as a
+    zero or non-finite row does; last, the last coordinate is made real and
+    positive.  A row gets the same bits alone or in any stack."""
+    V = np.array(lifts, dtype=complex)
+    cols = V.T  # a view: scaling its columns scales the rows of V
+    try:
+        nrm = _norm(V)
+        finite = _every((0.0 < nrm) & (nrm < np.inf))
+    except RuntimeWarning:  # an overflowing norm, where warnings are errors
+        finite = False
+    if not finite:
+        raise ValueError("lift must be nonzero and finite")
+    cols /= nrm
+    q = _herm(V, V).real[()]  # |q| <= 1 after Euclidean normalization
+    boundary = abs(q) <= TOL_NULL
+    if not _every(boundary):
+        if not _every(boundary | (q < 0)):
+            raise ValueError("vector does not span a negative or null line")
+        np.divide(cols, np.sqrt(abs(q)), out=cols, where=~boundary)
+    last = cols[-1]
+    # np.hypot has the bits of abs of one value; np.abs of an array has not
+    mod = abs(last) if last.ndim == 0 else np.hypot(last.real, last.imag)
+    cols *= np.conj(last) / mod
+    return V, boundary
+
+
+def _check_kind(stated, kind):
+    """Raise unless a stated kind is None or the computed one."""
+    if stated not in (None, kind):
+        raise ValueError(f"a point stated as {stated} classifies as {kind}")
+
+
+def _every(mask):
+    """``mask.all()``, without a reduction's overhead on one lift's flag."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.all())
 
 
 def _same_line(A, B, tol=1e-9):
@@ -261,7 +288,8 @@ def tangent(model, base, raw):
 
 
 def exp_map(model, x, v):
-    """Riemannian exponential at interior x of the tangent vector v."""
+    """Riemannian exponential at interior x of the tangent vector v; far out
+    (about 23 at metric_scale 4) the image cannot be represented."""
     X = x.lift
     n2 = _herm(v.components, v.components).real
     if n2 <= 0.0:
@@ -271,7 +299,13 @@ def exp_map(model, x, v):
         return x
     u = v.components / np.sqrt(n2)
     tau = speed / model.metric_scale ** 0.5 * 2.0
-    return ProjPoint(np.cosh(tau / 2.0) * X + np.sinh(tau / 2.0) * u, model=model, kind="interior")
+    try:
+        y = ProjPoint(np.cosh(tau / 2.0) * X + np.sinh(tau / 2.0) * u, model=model)
+    except ValueError:  # rounding put the image outside the cone
+        y = None
+    if y is None or y.is_boundary:
+        raise ValueError(f"exp_map cannot represent the point at distance {speed:.4g}: its lift is null")
+    return y
 
 
 def metric_and_kahler(model, x, u, v):
@@ -317,8 +351,9 @@ class TriangleArea:
 
 def _norm(X):
     """Euclidean norm along the last axis, equal bit for bit to
-    ``np.linalg.norm`` of each row."""
-    return np.sqrt(np.vecdot(X.real, X.real) + np.vecdot(X.imag, X.imag))
+    ``np.linalg.norm`` of each row (``np.dot`` costs less on one vector)."""
+    dot = np.dot if X.ndim == 1 else np.vecdot
+    return np.sqrt(dot(X.real, X.real) + dot(X.imag, X.imag))
 
 
 # rows of a stack taken into the holonomy kernel at once; the real columns

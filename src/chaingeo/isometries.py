@@ -101,7 +101,7 @@ class EmbeddingMap:
 
     def push_point(self, x, target_model=None):
         model = target_model or HermitianModel(self.target_q)
-        return ProjPoint(self.matrix @ x.lift, model=model, kind=x.kind)
+        return ProjPoint(self.matrix @ x.lift, model=model)
 
     def push_isometry(self, g):
         """Conjugate a source isometry into the target group on the image block.
@@ -137,7 +137,7 @@ def apply_isometry(g, x):
     """Image of a point under an isometry; preserves kind and distances."""
     if g.matrix.shape[0] != x.lift.shape[0]:
         raise ValueError("dimension mismatch")
-    return ProjPoint(g.matrix @ x.lift, model=x.model, kind=x.kind)
+    return ProjPoint(g.matrix @ x.lift, model=x.model)
 
 
 def standard_embedding(p, q):

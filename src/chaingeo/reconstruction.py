@@ -32,7 +32,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .chains import _in_span, cartan_triple_lifts
-from .hermitian import _line_distance, _norm, _same_line
+from .hermitian import _classify, _line_distance, _norm, _same_line
 from .isometries import EmbeddingMap, _eig_function, _form_residual, _pulled_back_form
 
 __all__ = [
@@ -51,8 +51,12 @@ class NoRigidModelError(RuntimeError):
 
 @dataclass(eq=False)
 class BoundarySampleMap:
-    """Sampled boundary correspondence from pairs (xi in dH^p, eta in dH^q),
-    kept as the (n, p+1) and (n, q+1) arrays of their canonical lifts."""
+    """Sampled boundary correspondence xi_i -> eta_i (xi_i in dH^p, eta_i in
+    dH^q), kept as the (n, p+1) and (n, q+1) arrays of their canonical lifts.
+    ``from_lifts`` classifies two lift arrays with ``hermitian._classify``;
+    ``pairs=`` stacks the lifts of (xi, eta) point pairs, which ``ProjPoint``
+    classified with it one by one.  Both store the same bytes and raise the
+    same errors."""
 
     pairs: InitVar[list]
     p: int
@@ -61,14 +65,30 @@ class BoundarySampleMap:
     target_lifts: np.ndarray = field(init=False)
 
     def __post_init__(self, pairs):
-        need = max(20, 4 * (self.p + 1) * (self.q + 1))
-        if len(pairs) < need:
-            raise ValueError(f"need at least {need} sample pairs, got {len(pairs)}")
-        for xi, eta in pairs:
-            if not (xi.is_boundary and eta.is_boundary):
-                raise ValueError("sample pairs must consist of boundary points")
+        _check_samples(len(pairs), self.p, self.q, all(xi.is_boundary and eta.is_boundary for xi, eta in pairs))
         self.source_lifts = np.stack([xi.lift for xi, _ in pairs])
         self.target_lifts = np.stack([eta.lift for _, eta in pairs])
+
+    @classmethod
+    def from_lifts(cls, source_lifts, target_lifts, p, q):
+        """The map of the rows of an (n, p+1) and an (n, q+1) lift array."""
+        src, tgt = np.asarray(source_lifts), np.asarray(target_lifts)
+        if src.shape[1:] != (p + 1,) or tgt.shape != src.shape[:1] + (q + 1,):
+            raise ValueError(f"need (n, {p + 1}) and (n, {q + 1}) lift arrays, got {src.shape} and {tgt.shape}")
+        (src, src_boundary), (tgt, tgt_boundary) = _classify(src), _classify(tgt)
+        _check_samples(len(src), p, q, src_boundary.all() and tgt_boundary.all())
+        smap = cls.__new__(cls)
+        smap.p, smap.q, smap.source_lifts, smap.target_lifts = p, q, src, tgt
+        return smap
+
+
+def _check_samples(n, p, q, boundary):
+    """Raise unless n sample pairs, all of boundary points, can fit a map."""
+    need = max(20, 4 * (p + 1) * (q + 1))
+    if n < need:
+        raise ValueError(f"need at least {need} sample pairs, got {n}")
+    if not boundary:
+        raise ValueError("sample pairs must consist of boundary points")
 
 
 @dataclass

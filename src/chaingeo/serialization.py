@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .hermitian import ProjPoint
+from .hermitian import ProjPoint, _check_kind, _classify
 from .isometries import Isometry
 from .toledo import RELATOR_TOL, SurfaceGroupRep, _scalar_residual
 
@@ -23,6 +23,7 @@ __all__ = [
     "json_to_matrix",
     "point_to_json",
     "json_to_point",
+    "json_to_lifts",
     "rep_from_json",
     "chain_to_json",
     "dumps",
@@ -64,18 +65,29 @@ def point_to_json(pt):
     return {"lift": vector_to_json(pt.lift), "kind": pt.kind}
 
 
-def json_to_point(data, model):
-    """The point of a JSON object {'lift': vector, 'kind': kind}; the lift
-    is classified, and an optional stated kind must agree with it."""
+def _json_lift(data):
+    """The lift of a JSON point object."""
     if not isinstance(data, dict):
         raise ValueError(f"a point must be a JSON object, got {type(data).__name__}")
-    kind = data.get("kind")
-    if kind not in (None, "interior", "boundary"):
-        raise ValueError(f"a point's kind must be 'interior' or 'boundary', got {kind!r}")
-    pt = ProjPoint(json_to_vector(data["lift"]), model=model)
-    if kind not in (None, pt.kind):
-        raise ValueError(f"a point stated as {kind} classifies as {pt.kind}")
-    return pt
+    return json_to_vector(data["lift"])
+
+
+def json_to_point(data, model):
+    """The point of a JSON object {'lift': vector, 'kind': kind}: the lift is
+    classified, and an optional stated kind is checked (see ``ProjPoint``)."""
+    return ProjPoint(_json_lift(data), model=model, kind=data.get("kind"))
+
+
+def json_to_lifts(points, model):
+    """The lifts of JSON points as one (n, p+1) array, as given; each is
+    classified, and a stated kind checked, as ``json_to_point`` does."""
+    rows = [_json_lift(data) for data in points]
+    if any(len(v) != model.dim for v in rows):
+        raise ValueError(f"lift must have shape ({model.dim},)")
+    lifts = np.array(rows, dtype=complex).reshape(len(rows), model.dim)
+    for data, boundary in zip(points, _classify(lifts)[1].tolist()):
+        _check_kind(data.get("kind"), "boundary" if boundary else "interior")
+    return lifts
 
 
 def rep_from_json(data):

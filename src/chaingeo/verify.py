@@ -21,11 +21,7 @@ from .busemann import (
     unit_mass_check,
     volume_entropy,
 )
-from .chains import (
-    cartan_triple_lifts,
-    chain_through,
-    sample_chain_point,
-)
+from .chains import _chain_lifts, cartan_triple_lifts, chain_through, sample_chain_point
 from .forms import (
     BoundaryCocycle,
     BoundaryMapHandle,
@@ -34,7 +30,7 @@ from .forms import (
     delta_form_field,
     exterior_derivative_fd,
 )
-from .hermitian import HermitianModel, ProjPoint, metric_and_kahler, tangent, triangle_area
+from .hermitian import HermitianModel, ProjPoint, _classify, metric_and_kahler, tangent, triangle_area
 from .isometries import Isometry, random_isometry, standard_embedding, translation_along_axis
 from .projective import (
     AffLine,
@@ -65,7 +61,7 @@ __all__ = ["ALL_CRITERIA"]
 def _random_interior(model, rng, spread=0.8):
     u = rng.normal(size=model.p) + 1j * rng.normal(size=model.p)
     u *= spread * rng.random() / np.linalg.norm(u)
-    return ProjPoint(np.concatenate([u, [1.0 + 0j]]), model=model, kind="interior")
+    return ProjPoint(np.concatenate([u, [1.0 + 0j]]), model=model)
 
 
 def _random_tangent(model, rng, x):
@@ -118,8 +114,7 @@ def crit02_chain_extremality(seed=11, n_each=500):
         a, b = nu.sample_points(2, rng=rng)
         C = chain_through(model, a, b)
         ts = np.sort(rng.uniform(0, 2 * np.pi, size=3))
-        pts = [sample_chain_point(C, t) for t in ts]
-        val = cartan_triple_lifts(*(p.lift[None] for p in pts))[0]
+        val = cartan_triple_lifts(*(x.lift[None] for x in sample_chain_point(C, ts)))[0]
         on_min = np.minimum(on_min, abs(val))  # keeps a NaN, unlike min
     lifts = [nu.sample_lifts(n_each, rng=rng) for _ in range(3)]
     off_max = float(np.max(np.abs(cartan_triple_lifts(*lifts))))
@@ -135,7 +130,7 @@ def crit03_ideal_triangle_normalization(tol=1e-4):
     """Ideal triangle on a chain has Kahler area pi (Gromov norm, rank 1)."""
     model = HermitianModel(1)
     pts = [
-        ProjPoint(np.array([z, 1.0]), model=model, kind="boundary")
+        ProjPoint(np.array([z, 1.0]), model=model)
         for z in (1.0, 1j, -1.0)
     ]
     a1 = triangle_area(model, *pts, tol=1e-6)
@@ -162,7 +157,7 @@ def crit04_area_cartan_agreement(seed=13, n_triples=100, tol=1e-4):
     worst = 0.0
     for _ in range(n_triples):
         lifts = nu.sample_lifts(3, rng=rng)
-        pts = [ProjPoint(l, model=model, kind="boundary") for l in lifts]
+        pts = [ProjPoint(l, model=model) for l in lifts]
         area = triangle_area(model, *pts, tol=3e-6)
         cval = cartan_triple_lifts(lifts[0][None], lifts[1][None], lifts[2][None])[0]
         worst = np.maximum(worst, abs(area.value / np.pi - cval))
@@ -415,28 +410,22 @@ def crit11_affine_recovery(seed=37, n_trials=100):
 
 def _planted_sample_map(rng, p, q, n_pairs, n_chain_groups=12, pts_per_chain=4, scramble=False, conjugate=False):
     model_p = HermitianModel(p)
-    model_q = HermitianModel(q)
     emb = standard_embedding(p, q)
     g = random_isometry(q, seed=int(rng.integers(1 << 31)), sigma=0.4)
-    lifts = []
     nu = VisualMeasure(model_p, seed=int(rng.integers(1 << 31)))
-    base = nu.sample_lifts(n_pairs, rng=rng)
-    lifts.extend(base)
+    lifts = [nu.sample_lifts(n_pairs, rng=rng)]
     for _ in range(n_chain_groups):
-        a, b = nu.sample_points(2, rng=rng)
-        C = chain_through(model_p, a, b)
-        for t in rng.uniform(0, 2 * np.pi, size=pts_per_chain):
-            lifts.append(sample_chain_point(C, t).lift)
-    src = [ProjPoint(l, model=model_p, kind="boundary") for l in lifts]
-    tgt = []
-    for s in src:
-        l = np.conj(s.lift) if conjugate else s.lift
-        tgt.append(ProjPoint(g.matrix @ (emb.matrix @ l), model=model_q, kind="boundary"))
+        C = chain_through(model_p, *nu.sample_points(2, rng=rng))
+        # the lifts of sample_chain_point's points
+        lifts.append(_classify(_chain_lifts(C, rng.uniform(0, 2 * np.pi, size=pts_per_chain)))[0])
+    lifts = np.concatenate(lifts)
+    src = _classify(lifts)[0]
+    # g (emb xi) for each canonical source lift xi; stacked matrix-vector
+    # products keep the bits of the products taken one point at a time
+    tgt = (g.matrix @ (emb.matrix @ (np.conj(src) if conjugate else src)[..., None]))[..., 0]
     if scramble:
-        perm = rng.permutation(len(tgt))
-        tgt = [tgt[i] for i in perm]
-    pairs = list(zip(src, tgt))
-    return BoundarySampleMap(pairs=pairs, p=p, q=q), emb, g
+        tgt = tgt[rng.permutation(len(tgt))]
+    return BoundarySampleMap.from_lifts(lifts, tgt, p, q), emb, g
 
 
 def crit12_reconstruction(seed=41, n_instances=50, n_pairs=152, holdout=100):

@@ -169,6 +169,27 @@ BAD_INPUTS = {
         ["chain", "--p", "2", "--points"],
         lambda pts: {"points": pts[:2] + [{"lift": [["1", "0"], ["0", "0"], ["1", "0"]]}]},
     ),
+    # 40 pairs, past the count check, the last with a bad target lift
+    **{
+        f"reconstruct-{name}-row": (
+            ["reconstruct", "--samples"],
+            lambda pts, bad=bad: {
+                "p": 2,
+                "q": 2,
+                "pairs": [pts[:2]] * 39 + [[pts[0], {"lift": bad(pts[1]["lift"])}]],
+            },
+        )
+        for name, bad in (
+            ("nan", lambda lift: [[float("nan"), 0]] + lift[1:]),
+            ("inf", lambda lift: [[0, float("-inf")]] + lift[1:]),
+            ("huge", lambda lift: [[1e300, 0]] + lift[1:]),
+            ("zero", lambda lift: [[0, 0]] * len(lift)),
+        )
+    },
+    "reconstruct-boundary-stated-interior": (
+        ["reconstruct", "--samples"],
+        lambda pts: {"p": 2, "q": 2, "pairs": [pts[:2]] * 39 + [[pts[0], dict(pts[1], kind="interior")]]},
+    ),
     "reconstruct-p-null": (
         ["reconstruct", "--samples"],
         lambda pts: {"p": None, "q": 2, "pairs": [pts[:2]] * 40},

@@ -1,3 +1,7 @@
+import json
+from collections import defaultdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +19,11 @@ from chaingeo import (
     tangent,
     triangle_area,
 )
-from chaingeo.hermitian import _gram, _herm, _pairings, _same_line
+from chaingeo.busemann import VisualMeasure
+from chaingeo.hermitian import _classify, _gram, _herm, _pairings, _same_line
 from chaingeo.isometries import apply_isometry, random_isometry
+from chaingeo.reconstruction import BoundarySampleMap
+from chaingeo.serialization import json_to_vector
 
 from conftest import random_boundary, random_interior, random_tangent
 from distance_oracle import distance, ray
@@ -100,7 +107,7 @@ def test_projpoint_classification(disc):
 def test_projpoint_rejects_unknown_kind(disc, kind):
     # only a computed kind (None) or a stated "interior" or "boundary"
     # builds a point; "exterior" names no point of the space or its boundary
-    with pytest.raises(ValueError, match="kind must be"):
+    with pytest.raises(ValueError, match=f"^a point stated as {kind} classifies as interior$"):
         ProjPoint(np.array([0.2, 1.0]), model=disc, kind=kind)
 
 
@@ -108,6 +115,82 @@ def test_projpoint_rejects_unknown_kind(disc, kind):
 def test_projpoint_rejects_nonfinite_lift(plane2, bad):
     with pytest.raises(ValueError, match="nonzero and finite"):
         ProjPoint(np.array([bad, 0.0, 1.0]), model=plane2, kind="boundary")
+
+
+def test_projpoint_checks_a_stated_kind(disc):
+    """A stated kind is a claim checked against the computed one: (5, 1) is
+    exterior, (1, 1) a boundary and (0.2, 1) an interior lift."""
+    with pytest.raises(ValueError, match="does not span a negative or null line"):
+        ProjPoint(np.array([5.0, 1.0]), HermitianModel(1), kind="boundary")
+    with pytest.raises(ValueError, match="^a point stated as interior classifies as boundary$"):
+        ProjPoint(np.array([1.0, 1.0]), disc, kind="interior")
+    with pytest.raises(ValueError, match="^a point stated as boundary classifies as interior$"):
+        ProjPoint(np.array([0.2, 1.0]), disc, kind="boundary")
+    assert ProjPoint(np.array([1.0, 1.0]), disc, kind="boundary").kind == "boundary"
+    assert ProjPoint(np.array([0.2, 1.0]), disc, kind="interior").kind == "interior"
+
+
+def _assert_rows_classify_alone(rows, stated=None):
+    """ProjPoint(row) has the bits and kind of its row of _classify(rows)."""
+    lifts, boundary = _classify(rows)
+    model = HermitianModel(rows.shape[1] - 1)
+    for k, row in enumerate(rows):
+        x = ProjPoint(row, model, kind=None if stated is None else stated[k])
+        assert x.lift.tobytes() == lifts[k].tobytes()
+        assert x.kind == ("boundary" if boundary[k] else "interior")
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_projpoint_lift_is_its_row_of_the_stacked_classifier(p):
+    # half boundary and half interior rows, at random phases and scales
+    rng = np.random.default_rng(p)
+    n = 400
+    u = rng.normal(size=(n, p)) + 1j * rng.normal(size=(n, p))
+    u *= np.where(np.arange(n) % 2, rng.random(n), 1.0)[:, None] / np.linalg.norm(u, axis=1, keepdims=True)
+    scale = (rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    rows = np.concatenate([u, np.ones((n, 1))], axis=1) * scale
+    assert np.count_nonzero(_classify(rows)[1]) == n // 2
+    _assert_rows_classify_alone(rows)
+
+
+def test_golden_input_points_classify_alone_as_in_a_stack():
+    """Every point of the golden input files, grouped by dimension."""
+    points = defaultdict(list)
+    for path in (Path(__file__).resolve().parent / "golden" / "inputs").glob("*.json"):
+        data = json.loads(path.read_text())
+        for pt in data.get("points", []) + [pt for pair in data.get("pairs", []) for pt in pair]:
+            points[len(pt["lift"])].append(pt)
+    assert sum(map(len, points.values())) == 1609
+    for pts in points.values():
+        rows = np.stack([json_to_vector(pt["lift"]) for pt in pts])
+        _assert_rows_classify_alone(rows, stated=[pt["kind"] for pt in pts])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=4),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0]),
+    imag=st.booleans(),
+    row=st.integers(min_value=0, max_value=99),
+    col=st.integers(min_value=0, max_value=4),
+    target=st.booleans(),
+)
+def test_a_zero_or_nonfinite_or_overflowing_row_raises_value_error(p, bad, imag, row, col, target):
+    """NaN, +-inf or 1e300 in one coordinate of one row, or a zero row, makes
+    ProjPoint, _classify and BoundarySampleMap.from_lifts raise ValueError."""
+    lifts = VisualMeasure(HermitianModel(p), seed=row).sample_lifts(100)
+    poisoned = lifts.copy()
+    if bad == 0.0:
+        poisoned[row] = 0.0
+    else:
+        poisoned[row, col % (p + 1)] += complex(0.0, bad) if imag else bad
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        ProjPoint(poisoned[row], HermitianModel(p))
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        _classify(poisoned)
+    src, tgt = (lifts, poisoned) if target else (poisoned, lifts)
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        BoundarySampleMap.from_lifts(src, tgt, p, p)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -179,6 +262,18 @@ def test_exp_map_matches_geodesic(plane2, rng):
         for t in (0.05, 0.8, 3.0):
             p = exp_map(model, x, tangent(model, x, t / np.sqrt(g) * v.components))
             assert abs(distance(model, x, p) - t) < 1e-10 * max(1.0, t)
+
+
+def test_exp_map_names_an_unrepresentable_image(plane2, rng):
+    """Past about 23 at metric_scale 4 the image's normalized lift is null to
+    TOL_NULL, so no interior point represents it."""
+    x = random_interior(plane2, rng)
+    v = random_tangent(plane2, rng, x)
+    g, _ = metric_and_kahler(plane2, x, v, v)
+    assert exp_map(plane2, x, tangent(plane2, x, 20.0 / np.sqrt(g) * v.components)).is_interior
+    for t in (30.0, 60.0):
+        with pytest.raises(ValueError, match="^exp_map cannot represent the point at distance"):
+            exp_map(plane2, x, tangent(plane2, x, t / np.sqrt(g) * v.components))
 
 
 def test_kahler_antisymmetry_and_positivity(plane2, rng):

@@ -71,6 +71,28 @@ def test_sample_map_keeps_only_lift_arrays(rng):
         BoundarySampleMap(pairs=list(zip(src, tgt[:-1] + [inner])), p=2, q=3)
 
 
+def test_from_lifts_stores_the_pairs_routes_arrays(rng):
+    """from_lifts classifies raw lift arrays into the bytes that the pairs
+    route stacks from ProjPoints of the same rows, and raises its errors."""
+    src_raw = rng.normal(size=(48, 3)) + 1j * rng.normal(size=(48, 3))
+    src_raw[:, -1] *= np.linalg.norm(src_raw[:, :-1], axis=1) / np.abs(src_raw[:, -1])
+    tgt_raw = src_raw @ standard_embedding(2, 3).matrix.T
+    tgt_raw *= 10.0 ** rng.uniform(-3, 3, (48, 1))
+    by_lifts = BoundarySampleMap.from_lifts(src_raw, tgt_raw, 2, 3)
+    by_pairs = BoundarySampleMap(pairs=list(zip(_points(src_raw, 2), _points(tgt_raw, 3))), p=2, q=3)
+    assert vars(by_lifts).keys() == vars(by_pairs).keys() == {"p", "q", "source_lifts", "target_lifts"}
+    assert by_lifts.source_lifts.tobytes() == by_pairs.source_lifts.tobytes()
+    assert by_lifts.target_lifts.tobytes() == by_pairs.target_lifts.tobytes()
+    with pytest.raises(ValueError, match=r"^need at least 48 sample pairs, got 47$"):
+        BoundarySampleMap.from_lifts(src_raw[:47], tgt_raw[:47], 2, 3)
+    inner = tgt_raw.copy()
+    inner[5] = [0.1, 0.2, 0.3, 1.0]
+    with pytest.raises(ValueError, match=r"^sample pairs must consist of boundary points$"):
+        BoundarySampleMap.from_lifts(src_raw, inner, 2, 3)
+    with pytest.raises(ValueError, match=r"^need \(n, 3\) and \(n, 4\) lift arrays, got \(48, 3\) and \(48, 3\)$"):
+        BoundarySampleMap.from_lifts(src_raw, tgt_raw[:, :3], 2, 3)
+
+
 def test_compatibility_planted(rng):
     smap, _, _ = _planted_sample_map(rng, 2, 3, 152)
     rep = chain_compatibility_check(smap, seed=1)
