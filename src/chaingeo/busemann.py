@@ -18,8 +18,8 @@ the volume entropy of H_C^p, 2p/sqrt(metric_scale): geodesic spheres have
 one Jacobi direction of curvature -4/metric_scale and 2p-2 of curvature
 -1/metric_scale, so their area grows like exp(2p r/sqrt(metric_scale)).
 With O = e_{p+1} the origin's lift, e_xi(x) is the Poisson kernel
--<X,X> |<xi,O>|^2 / |<xi,X>|^2 to the power h kappa = p: ``_poisson_power``
-is the one implementation of the weight, for ``e_xi_lifts`` and the forms.
+-<X,X> |<xi,O>|^2 / |<xi,X>|^2 to the power h kappa = p, and
+``_poisson_exponent`` is the one exponent, for ``e_xi_lifts`` and the forms.
 
 The visual measure nu_0 at the origin is the round measure: uniform on the
 unit sphere of the positive coordinates in the canonical chart, which is
@@ -163,17 +163,17 @@ def e_xi_lifts(model, entropy, xi_lifts, X):
     are not paired with the origin.
     """
     xi_o2, xi_x2 = np.abs(xi_lifts[..., -1]) ** 2, np.abs(_pairings(xi_lifts, X)) ** 2
-    return _poisson_power(model, entropy, -_herm(X, X).real, xi_o2, xi_x2)
+    # the Poisson kernel to the power h kappa: no log or exp
+    return (-_herm(X, X).real * xi_o2 / xi_x2) ** _poisson_exponent(model, entropy)
 
 
-def _poisson_power(model, entropy, neg_xx, xi_o2, xi_x2):
-    """(-<X,X> |<xi,O>|^2 / |<xi,X>|^2) ** (h kappa) from the squared moduli:
-    exp(-h B_xi(x, 0)) with no log or exp, as h kappa = p to rounding.  An
-    integer exponent is raised as an int, which numpy squares in about half
-    the time of the float power, with the same bytes; a mistuned entropy
-    keeps its float exponent."""
+def _poisson_exponent(model, entropy):
+    """h kappa, the weight's power of the Poisson kernel: p to rounding.  An
+    integer is returned as an int, which numpy squares in about half the
+    time of the float power, with the same bytes; a mistuned entropy keeps
+    its float exponent."""
     e = entropy.value * busemann_kappa(model)
-    return (neg_xx * xi_o2 / xi_x2) ** (int(e) if e.is_integer() else e)
+    return int(e) if e.is_integer() else e
 
 
 def volume_entropy(model):

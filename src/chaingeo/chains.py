@@ -83,11 +83,12 @@ class Chain:
 
     def __post_init__(self):
         s = np.asarray(self.span, dtype=complex)
-        if s.shape != (self.model.dim, 2) or np.linalg.matrix_rank(s) != 2:
+        norms = np.linalg.norm(s, axis=0) if s.shape == (self.model.dim, 2) else np.zeros(2)
+        if not np.all((0.0 < norms) & (norms < np.inf)):
             raise ValueError("span must be two independent vectors")
-        # the Gram matrix of the unit columns has the signature of the span
-        # and does not depend on the scale of the columns
-        unit = s / np.linalg.norm(s, axis=0)
+        # the Gram matrix of the unit columns has the signature of the span,
+        # whatever the columns' scale; dependent columns make it singular
+        unit = s / norms
         ev = np.linalg.eigvalsh(_gram(unit, unit))
         if not (ev[0] < -1e-10 and ev[1] > 1e-10):
             raise ValueError("span is not of signature (1,1)")
@@ -95,16 +96,16 @@ class Chain:
             raise ValueError("orientation must be +1 or -1")
         object.__setattr__(self, "span", s)
         # cache an orthonormalized (positive, negative) basis for sampling
-        neg, pos = self._split_basis(s)
+        neg, pos = self._split_basis(s, norms)
         self._pos = pos
         self._neg = neg
 
     @staticmethod
-    def _split_basis(s):
+    def _split_basis(s, norms):
         """Gram-Schmidt a (negative, positive) orthonormal pair out of the span."""
         xi, eta = s[:, 0], s[:, 1]
         # u and <praw, praw> below scale as |xi| |eta| and |xi|^2
-        n_xi, n_eta = np.linalg.norm(s, axis=0)
+        n_xi, n_eta = norms
         u = _herm(eta, xi)
         if abs(u) < 1e-14 * n_xi * n_eta:
             # xi already negative or positive; mix differently

@@ -32,17 +32,18 @@ The lifts exist only in row blocks (``busemann._row_blocks``); the build
 peaks about 19 MB above what the stream holds, at 40 MB.  An evaluation
 of K frames (points with tangent vectors) cuts the stream into 20 batches
 of N // 20 samples (the rest is dropped) and each batch into blocks of at
-most ``_EVAL_ROWS``.  It reads each block once, pairs it with
-W = [x, the vectors] of every frame in one real matrix product, and takes
-the weight as the Poisson kernel to the power p, with |<xi, O>|^2 a
-constant.  The integrand of a batch is held, (K, N // 20), until its
-last block is in, and then reduced to its K batch means; an evaluation
-peaks about 1 MB (K = 1) and 9 MB (K = 6) above what the stream holds.
+most ``_EVAL_ROWS``.  It reads each block once and pairs each sample
+array with [X, V'_1, ..], V'_j = V_j + Re<V_j, X> X, of every frame in one
+stacked real matrix product; every factor is a real quadratic form in the
+sample (``_kernel``), about 30 passes over a (K, rows) block.  A batch's
+integrand is held, (K, N // 20), until its last block is in, and reduced
+to its K batch means, then scaled by the frame's constant; an evaluation
+peaks about 1 MB (K = 1) and 7 MB (K = 6) above what the stream holds.
 
 Threads: the caller hands private numpy work to one module-level helper
 thread, always through ``_overlap``, for three jobs: it draws a stream's
-next array of normals while the caller normalises the last, builds a
-fresh form's frame factors while the caller runs the cocycle, and fills
+next array of normals while the caller normalises the last, computes a
+fresh form's kernel integrands while the caller runs the cocycle, and fills
 the second half of the batches of a pass over two frames or more while
 the caller fills the first.  The frame checks, the cocycle and every
 public function run on the calling thread, and the bytes of every result
@@ -67,7 +68,7 @@ from .busemann import (
     _batch_rows,
     _boundary_lifts,
     _mean_stderr,
-    _poisson_power,
+    _poisson_exponent,
     _row_blocks,
     _unit_rows,
 )
@@ -187,10 +188,10 @@ class _SampleStream:
     the same (seed, n_samples) holds the same samples (the
     common-random-numbers contract).  Each array is held as its (N, p) unit
     directions u; the lifts [u, 1] / sqrt(2) exist only as the row blocks
-    given to the cocycle (``_lift_blocks``) and to the pairing product
-    (``_transposed``).  The constructor draws the samples; ``run_cocycle``
-    then evaluates c, with its sup-norm check, on the calling thread, once
-    per row block.
+    given to the cocycle (``_lift_blocks``), and v = sqrt(2) times them as
+    the pairing product's real rows (``_real_rows``).  The constructor draws
+    the samples; ``run_cocycle`` then evaluates c, with its sup-norm check,
+    on the calling thread, once per row block.
 
     ``evaluate`` pairs the stream with K frames in one pass over the
     blocks of its 20 batches, reducing each batch as it fills; a call
@@ -226,78 +227,58 @@ class _SampleStream:
                 view.flags.writeable = False  # a cocycle writing in place would corrupt later blocks
             yield r, lifts
 
-    def _transposed(self, k, r):
-        """The real view of array k's lifts on the rows r, transposed and
-        contiguous: (2p+2, rows), whose last two rows are 1/sqrt(2) and 0
-        (BLAS takes it faster than the strided view, with the same bits)."""
-        d = self.dirs[k][r].view(float).T
-        t = np.empty((len(d) + 2, d.shape[1]))
-        np.multiply(d, 1.0 / np.sqrt(2.0), out=t[:-2])
-        t[-2], t[-1] = 1.0 / np.sqrt(2.0), 0.0
-        return t
-
     def __call__(self, x, *vectors):
         return self.evaluate([(x, vectors)])[0]
 
-    def _factors(self, frames, batches):
-        """Per evaluation block r of the given batches, in order, (r, weight,
-        wedge): (K, rows) arrays of the first array's weight e^{xi_0}(x) and
-        of the other arrays' wedge de^{xi_1} ^ ... on the vectors (None in
-        degree 0), for every frame.  Each batch of ``_batch_rows`` samples
-        is cut into ``_row_blocks`` of at most ``_EVAL_ROWS``."""
-        n, size = self.degree, _batch_rows(self.n_samples)
-        h, s, m = self.entropy.value, self.model.metric_scale, n + 1
-        # the real view (Re xi_0, Im xi_0, Re xi_1, ...) of a lift dotted with
-        # that of J W (J the form diagonal) is Re<xi, W>, with that of i J W
-        # Im<xi, W>: B[k]'s rows give Re<xi, W_j>, then Im<xi, W_j>, with
-        # W = [X, V_1..V_n] of frame k
-        W = np.array([[x.lift, *(v.components for v in vectors)] for x, vectors in frames])
-        B = np.concatenate([W, 1j * W], axis=1).view(float) * np.repeat(_form_diagonal(W.shape[2]), 2)
-        neg_xx = np.array([[-_herm(x.lift, x.lift).real] for x, _ in frames])
-        v_x = np.array([[_herm(v.components, x.lift).real for v in vectors] for x, vectors in frames])
-        r2 = 1.0 / np.sqrt(2.0)  # every sample's last coordinate: |<xi, O>|^2 = r2 * r2
+    def _real_rows(self, k, r):
+        """Array k's v = [u, 1] = sqrt(2) xi on the rows r as contiguous real
+        rows (2p+1, rows): Re u_0, Im u_0, Re u_1, ..., 1 (fast for BLAS)."""
+        d = self.dirs[k][r].view(float).T
+        t = np.empty((len(d) + 1, d.shape[1]))
+        t[:-1], t[-1] = d, 1.0
+        return t
+
+    def _kernel(self, frames, batches):
+        """Per block r of the given batches (``_row_blocks`` of at most
+        ``_EVAL_ROWS`` rows), in order, (r, g): each frame's integrand over
+        the cocycle value and its constant (``_evaluations``), (K, rows),
+        g = det[t_kj] / ((q_0 .. q_n)^E q_1 .. q_n), E = h kappa, where on
+        array k's v, q_k = |<v, X>|^2 and t_kj = Re(<v, V'_j> conj <v, X>)."""
+        n, size, E = self.degree, _batch_rows(self.n_samples), _poisson_exponent(self.model, self.entropy)
+        # rows of W = J [X, V'_1 ..] (V'_j = V_j + Re<V_j, X> X, J the form
+        # diagonal) give Re<v, .>, those of i W Im<v, .>; v's last Im is 0
+        W = np.array([[x.lift, *(v.components + _herm(v.components, x.lift).real * x.lift for v in vectors)]
+                      for x, vectors in frames]) * _form_diagonal(self.model.p + 1)
+        re, im = (np.ascontiguousarray(w.view(float)[..., :-1]) for w in (W, 1j * W))  # (K, n+1, 2p+1)
+        X = np.concatenate([re[:, :1], im[:, :1]], axis=1)
         blocks = _row_blocks(size, rows=_EVAL_ROWS)
         for r in (slice(b * size + q.start, b * size + q.stop) for b in batches for q in blocks):
-            des = []
-            for k in range(1, m):
-                # (de^xi)_x(v) = h s Re<v, U_xi> e^xi with U_xi the unit tangent
-                # at x toward xi, = h sqrt(s) e^xi Re(-<xi, v>/<xi, X> - <v, X>)
-                re, im = np.split(B @ self._transposed(k, r), 2, axis=1)
-                xi_x2 = re[:, 0] ** 2 + im[:, 0] ** 2
-                e = h * np.sqrt(s) * _poisson_power(self.model, self.entropy, neg_xx, r2 * r2, xi_x2)
-                xi_x2 *= -1.0  # -|<xi, X>|^2
-                des.append([])
-                for j in range(1, m):
-                    d = re[:, j] * re[:, 0]
-                    d += im[:, j] * im[:, 0]
-                    d /= xi_x2
-                    d -= v_x[:, j - 1, None]
-                    d *= e
-                    des[-1].append(d)
-                del re, im  # one array's pairings at a time
-            # the first array's weight needs only the X rows
-            P = B[:, [0, m]] @ self._transposed(0, r)
-            weight = _poisson_power(self.model, self.entropy, neg_xx, r2 * r2, P[:, 0] ** 2 + P[:, 1] ** 2)
-            if n == 0:
-                yield r, weight, None
-            elif n == 1:
-                yield r, weight, des[0][0]
-            else:
-                yield r, weight, des[0][0] * des[1][1] - des[0][1] * des[1][0]
+            # one stacked product per array and part: each frame's rows @ v
+            g = X @ self._real_rows(0, r)
+            g *= g
+            g = g[:, 0] + g[:, 1]  # q_0
+            t = []
+            for k in range(1, n + 1):
+                v = self._real_rows(k, r)
+                t.append(_times_first(re @ v))
+                t[-1] += _times_first(im @ v)  # q_k, then t_k1 .. t_kn
+            rest = 1.0 if n == 0 else t[0][:, 0] if n == 1 else t[0][:, 0] * t[1][:, 0]
+            det = 1.0 if n == 0 else t[0][:, 1] if n == 1 else t[0][:, 1] * t[1][:, 2] - t[0][:, 2] * t[1][:, 1]
+            g *= rest
+            g **= E
+            g *= rest
+            yield r, np.divide(det, g, out=g)
 
-    def _fill(self, means, factors):
-        """Write the batch means of the integrand values x weight x wedge into
-        the columns of ``means`` (K, batches) from the per-block
-        ``factors``, holding one (K, ``_batch_rows``) batch at a time and
-        reducing it as soon as its last block is in."""
+    def _fill(self, means, integrands):
+        """Write the batch means of the cocycle values x the ``_kernel``
+        integrands into the columns of ``means`` (K, batches), holding one
+        (K, ``_batch_rows``) batch at a time and reducing it as soon as its
+        last block is in."""
         size = _batch_rows(self.n_samples)
         batch = np.empty((len(means), size))
-        for r, weight, wedge in factors:
+        for r, g in integrands:
             b, start = divmod(r.start, size)
-            block = batch[:, start : start + r.stop - r.start]
-            np.multiply(self.values[r], weight, out=block)
-            if wedge is not None:
-                block *= wedge
+            np.multiply(self.values[r], g, out=batch[:, start : start + r.stop - r.start])
             if r.stop == (b + 1) * size:
                 means[:, b : b + 1] = _batch_means(batch, 1)
 
@@ -308,17 +289,22 @@ class _SampleStream:
         means = np.empty((len(frames), _BATCHES))
         if len(frames) == 1:
             # too short a pass for the split to pay: at N = 200k one frame
-            # took 14-23 ms on this thread alone and 21-31 ms split
-            self._fill(means, self._factors(frames, range(_BATCHES)))
+            # took 5.7-7.8 ms on this thread alone and 6.1-11.7 ms split
+            self._fill(means, self._kernel(frames, range(_BATCHES)))
         else:
             half = _BATCHES // 2
-            _overlap(lambda: self._fill(means, self._factors(frames, range(half, _BATCHES))),
-                     lambda: self._fill(means, self._factors(frames, range(half))))
+            _overlap(lambda: self._fill(means, self._kernel(frames, range(half, _BATCHES))),
+                     lambda: self._fill(means, self._kernel(frames, range(half))))
         return self._evaluations(frames, means)
 
     def _evaluations(self, frames, means):
-        """One FormEvaluation per frame from its row of batch ``means``."""
+        """One FormEvaluation per frame from its row of batch ``means`` of
+        the ``_kernel`` integrands, times the frame's constant
+        (-h sqrt(s))^n (-<X,X>)^(E (n+1)): as |<xi, O>|^2 = 1/2, e^xi(x) is
+        (-<X,X> / q)^E and (de^xi)_x(V_j) is -h sqrt(s) e^xi(x) t_j / q."""
         n, h, s = self.degree, self.entropy.value, self.model.metric_scale
+        E = _poisson_exponent(self.model, self.entropy)
+        means = means * [[(-h * np.sqrt(s)) ** n * (-_herm(x.lift, x.lift).real) ** (E * (n + 1))] for x, _ in frames]
         return [
             FormEvaluation(
                 value=float(mean),
@@ -350,6 +336,13 @@ def _check_frames(n, frames):
         for v in vectors:
             if not v.base.same_point_as(x):
                 raise ValueError("tangent vectors must be based at x")
+
+
+def _times_first(P):
+    """P (K, n+1, rows), each row times the first in place, the first last."""
+    P[:, 1:] *= P[:, :1]
+    np.square(P[:, 0], out=P[:, 0])
+    return P
 
 
 def _draw(rng, out):
@@ -388,9 +381,9 @@ def delta_form_eval(model, entropy, c, x, vectors, n_samples=200_000, seed=0):
     frames = [(x, vectors)]
     _check_frames(_degree(c), frames)
     stream = _SampleStream(model, entropy, c, n_samples, seed)
-    factors, _ = _overlap(lambda: list(stream._factors(frames, range(_BATCHES))), lambda: stream.run_cocycle(c))
+    integrands, _ = _overlap(lambda: list(stream._kernel(frames, range(_BATCHES))), lambda: stream.run_cocycle(c))
     means = np.empty((1, _BATCHES))
-    stream._fill(means, factors)
+    stream._fill(means, integrands)
     return stream._evaluations(frames, means)[0]
 
 
@@ -402,10 +395,10 @@ def delta_form_field(model, entropy, c, n_samples=200_000, seed=0):
     holds (n+1) * n_samples * p complex unit directions and n_samples
     cocycle values, about 21 MB at n_samples = 200k, n = p = 2, and
     building it peaks about 19 MB above that.  The field is the stream
-    itself: a call costs one real matrix product per sample array and row
-    block and peaks about 1 MB above what is held, and
+    itself: a call costs one stacked real matrix product per sample array
+    and row block and peaks about 1 MB above what is held, and
     ``exterior_derivative_fd`` evaluates its six frames in one pass over
-    the stream and peaks about 9 MB above what is held.
+    the stream and peaks about 7 MB above what is held.
     """
     stream = _SampleStream(model, entropy, c, n_samples, seed)
     stream.run_cocycle(c)

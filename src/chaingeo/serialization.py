@@ -74,8 +74,10 @@ def _json_lift(data):
 
 def json_to_point(data, model):
     """The point of a JSON object {'lift': vector, 'kind': kind}: the lift is
-    classified, and an optional stated kind is checked (see ``ProjPoint``)."""
-    return ProjPoint(_json_lift(data), model=model, kind=data.get("kind"))
+    classified, and an optional stated kind is checked (see ``ProjPoint``);
+    a coordinate whose square overflows raises with no numpy warning."""
+    with np.errstate(over="ignore"):
+        return ProjPoint(_json_lift(data), model=model, kind=data.get("kind"))
 
 
 def json_to_lifts(points, model):
@@ -85,8 +87,9 @@ def json_to_lifts(points, model):
     if any(len(v) != model.dim for v in rows):
         raise ValueError(f"lift must have shape ({model.dim},)")
     lifts = np.array(rows, dtype=complex).reshape(len(rows), model.dim)
-    for data, boundary in zip(points, _classify(lifts)[1].tolist()):
-        _check_kind(data.get("kind"), "boundary" if boundary else "interior")
+    with np.errstate(over="ignore"):
+        for data, boundary in zip(points, _classify(lifts)[1].tolist()):
+            _check_kind(data.get("kind"), "boundary" if boundary else "interior")
     return lifts
 
 

@@ -200,6 +200,8 @@ def crit05_busemann_machinery(seed=17, n_samples=100_000, n_points=20, n_isoms=1
 
 
 def _pseudo_random_cocycle(seed):
+    """sin of a sum of |<l, w>| / |l|, w fixed; the stream's lifts l are
+    null, |l_0..l_{p-1}| = |l_p|, so |l| = sqrt(2) |l_p| from l_p alone."""
     rng = np.random.default_rng(seed)
     refs = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     refs /= np.linalg.norm(refs, axis=1, keepdims=True)
@@ -208,7 +210,7 @@ def _pseudo_random_cocycle(seed):
     def ev(l0, l1, l2):
         acc = 0.0
         for lifts, w, f in zip((l0, l1, l2), refs, freqs):
-            nrm = np.linalg.norm(lifts, axis=1)
+            nrm = np.sqrt(2.0) * np.abs(lifts[:, -1])
             acc = acc + f * np.abs(lifts @ np.conj(w)) / nrm
         return np.sin(acc)
 

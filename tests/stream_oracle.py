@@ -3,11 +3,13 @@
 ``VisualMeasure.sample_lifts`` and the cocycle pass of
 ``forms._SampleStream`` run over equal row blocks; this module keeps the
 same arithmetic over whole N-row arrays, so the tests can assert that the
-blocks give the same bytes.  ``_SampleStream.evaluate`` pairs the samples
-in real arithmetic and takes the weight as a power of the Poisson kernel;
+blocks give the same bytes.  ``_SampleStream.evaluate`` reads every factor
+of the integrand as a real quadratic form in v = sqrt(2) xi, from stacked
+real pairings with the frame vectors (the -Re<V, X> term of de^xi absorbed
+into V), and applies each frame's constant to its batch means;
 ``whole_array_eval`` keeps the independent complex form, with complex
-pairings, a complex quotient and the weight as exp(-h B), which agrees
-with it to rounding.
+pairings, a complex quotient, the -Re<V, X> term and the weight as
+exp(-h B) on every sample, which agrees with it to rounding.
 """
 
 import numpy as np
@@ -16,11 +18,18 @@ from chaingeo.busemann import _batch_means, _mean_stderr, busemann_kappa
 from chaingeo.hermitian import _herm, _pairings
 
 
-def whole_array_lifts(model, n, rng):
-    """(n, p+1) boundary lifts, drawn as ``sample_lifts`` draws them."""
+def whole_array_directions(model, n, rng):
+    """(n, p) unit directions u, drawn as ``sample_lifts`` draws them."""
     g = rng.standard_normal((2, n, model.p))
     u = g[0] + 1j * g[1]
     u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return u
+
+
+def whole_array_lifts(model, n, rng):
+    """(n, p+1) boundary lifts [u, 1] / sqrt(2), drawn as ``sample_lifts``
+    draws them."""
+    u = whole_array_directions(model, n, rng)
     lifts = np.concatenate([u, np.ones((n, 1), dtype=complex)], axis=1)
     return lifts / np.sqrt(2.0)
 

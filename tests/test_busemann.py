@@ -18,7 +18,7 @@ from chaingeo import (
 from chaingeo import verify
 from chaingeo.busemann import (
     _BLOCK_ROWS,
-    _poisson_power,
+    _poisson_exponent,
     _row_blocks,
     _unit_rows,
     busemann_kappa,
@@ -209,7 +209,7 @@ def test_integer_weight_exponent_gives_the_float_power_bytes(p):
     # the int p, which numpy squares in half the time of the float power
     model = HermitianModel(p)
     kernel = np.random.default_rng(p).uniform(1e-3, 1e3, size=(6, 5000))
-    assert _poisson_power(model, volume_entropy(model), kernel, 1.0, 1.0).tobytes() == (kernel ** float(p)).tobytes()
+    assert (kernel ** _poisson_exponent(model, volume_entropy(model))).tobytes() == (kernel ** float(p)).tobytes()
 
 
 def test_visual_measure_rotation_invariance_chisquare():

@@ -115,6 +115,22 @@ def test_chain_free_of_span_scale(p, seed, log_scale, phases):
     assert abs(cartan_invariant(model, *pts) - 1.0) <= 1e-9
 
 
+def test_chain_rejects_bad_spans():
+    """A zero, non-finite or missing column is not two independent vectors;
+    dependent nonzero columns and a positive-definite span fail the (1,1)
+    signature test on the unit Gram matrix."""
+    model = HermitianModel(2)
+    null = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+    for span in (np.column_stack([null, np.zeros(3)]), np.column_stack([null, [np.nan, 0.0, 1.0]]),
+                 null[:, None]):
+        with pytest.raises(ValueError, match="span must be two independent vectors"):
+            Chain(span, +1, model)
+    for span in (np.column_stack([null, 2j * null]), np.column_stack([[0, 0, 1.0], [0, 0, 3.0]]),
+                 np.eye(3)[:, :2]):
+        with pytest.raises(ValueError, match=r"span is not of signature \(1,1\)"):
+            Chain(span, +1, model)
+
+
 def test_cartan_cocycle_identity(plane2, rng):
     n = 2000
     x = [np.stack([random_boundary(plane2, rng).lift for _ in range(n)]) for _ in range(4)]

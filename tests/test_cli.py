@@ -253,6 +253,23 @@ def test_cli_bad_input_is_an_error(case, tmp_path, capsys, plane2, rng):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("case", ["reconstruct-huge-row", "cartan-huge-point"])
+def test_cli_overflowing_lift_prints_only_the_error(case, tmp_path, plane2, rng):
+    # in a fresh interpreter, under Python's default warning filters rather
+    # than the test configuration's errors, a coordinate whose square
+    # overflows prints no numpy warning before the error line
+    argv, build = BAD_INPUTS.get(case) or (
+        ["cartan", "--p", "2", "--points"],
+        lambda pts: {"points": pts[:2] + [{"lift": [[1e300, 0]] + pts[2]["lift"][1:]}]},
+    )
+    pts = [point_to_json(p) for p in random_boundary(plane2, rng, n=4)]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(build(pts)))
+    run = run_python("-c", "import sys; from chaingeo.cli import main; print(main(sys.argv[1:]))", *argv, str(path))
+    assert run.stdout == b"1\n"
+    assert run.stderr == b"error: lift must be nonzero and finite\n"
+
+
 def _samples_file(tmp_path, src, tgt):
     """A samples file of boundary points with the lifts src[i] -> tgt[i]."""
     def point(lift):

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from chaingeo import (
     BoundaryCocycle,
     BoundaryMapHandle,
+    Entropy,
     HermitianModel,
     apply_isometry,
     chain_formula_check,
@@ -31,7 +32,7 @@ from chaingeo.chains import cartan_triple_lifts
 from chaingeo.hermitian import ProjPoint, _herm
 
 from conftest import apply_tangent, random_boundary, random_interior, random_tangent, run_python
-from stream_oracle import whole_array_eval, whole_array_lifts
+from stream_oracle import whole_array_directions, whole_array_eval, whole_array_lifts
 
 N_MC = 60_000
 
@@ -458,6 +459,30 @@ def test_blockwise_eval_gives_the_whole_array_bytes(setup, rng, monkeypatch, deg
     assert np.max(np.abs(got[0].batch_means - batches)) <= 1e-13 * np.max(np.abs(batches))
 
 
+@pytest.mark.parametrize("mistuned", [False, True])
+@pytest.mark.parametrize("radius", [0.3, 0.95])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_kernel_agrees_with_the_whole_array_oracle(rng, degree, radius, mistuned):
+    # the kernel's quadratic forms against the complex exp-log oracle, to
+    # rounding, in every degree, near the boundary (at chart radius 0.95
+    # the pairings |<v, X>|^2 span three orders of magnitude) and with a
+    # mistuned entropy, whose kernel is raised to a float power, 2.2.
+    # Nearer the boundary the kernel's own rounding grows: at radius 0.99
+    # it was off by up to 1.05e-13 over five draws, where the oracle stayed
+    # within 3e-15 of a long-double one
+    model = HermitianModel(2)
+    ent = volume_entropy(model)
+    if mistuned:
+        ent = Entropy(1.1 * ent.value, ent.p)
+    u = rng.normal(size=2) + 1j * rng.normal(size=2)
+    x = ProjPoint(np.append(radius * u / np.linalg.norm(u), 1.0), model=model, kind="interior")
+    vs = [random_tangent(model, rng, x) for _ in range(degree)]
+    c = _sine_cocycle(rng, degree + 1)
+    fe = delta_form_eval(model, ent, c, x, vs, n_samples=20_000, seed=43)
+    _, _, batches = whole_array_eval(model, ent, c, x, vs, 20_000, seed=43)
+    assert np.max(np.abs(fe.batch_means - batches)) <= 1e-13 * np.max(np.abs(batches))
+
+
 def test_cocycle_sees_at_most_one_block(setup, rng):
     model, ent = setup
     seen = []
@@ -529,16 +554,17 @@ def test_each_frame_gets_the_bytes_of_its_own_call(rng, degree, p):
 def test_batch_by_batch_means_are_those_of_the_whole_row(setup, rng, n_samples):
     # a pass over several frames reduces each batch as it fills, half of
     # them on the helper; the batch means, mean and error are the bytes of
-    # _batch_means and _mean_stderr on each frame's whole row of integrand
-    # values
+    # _batch_means on each frame's whole row of kernel integrands, times the
+    # frame's constant (_evaluations), and of _mean_stderr on those
     model, ent = setup
     field = delta_form_field(model, ent, _sine_cocycle(rng, 3), n_samples=n_samples, seed=41)
     frames = []
     for _ in range(6):
         x = random_interior(model, rng)
         frames.append((x, [random_tangent(model, rng, x) for _ in range(2)]))
-    rows = [field.values[r] * weight * wedge for r, weight, wedge in field._factors(frames, range(20))]
-    batches = _batch_means(np.concatenate(rows, axis=1))
+    rows = [field.values[r] * g for r, g in field._kernel(frames, range(20))]
+    whole = field._evaluations(frames, _batch_means(np.concatenate(rows, axis=1)))
+    batches = np.array([fe.batch_means for fe in whole])
     mean, stderr = _mean_stderr(batches)
     for k, fe in enumerate(field.evaluate(frames)):
         assert (fe.value, fe.mc_stderr) == (mean[k], stderr[k])
@@ -590,8 +616,8 @@ def test_stencil_in_one_pass_gives_the_per_frame_bytes(setup, rng):
 def test_stream_lifts_end_in_one_over_sqrt2(rng, p, monkeypatch):
     # the evaluation reads |<xi, O>|^2, O = e_{p+1}, as the constant
     # (1/sqrt(2))^2: every lift block given to the cocycle ends in the
-    # column 1/sqrt(2), and every transposed block given to the pairing
-    # product in the rows 1/sqrt(2) and 0.  The cocycle sees all n rows;
+    # column 1/sqrt(2), and every block of real rows given to the pairing
+    # product, v = sqrt(2) xi, in the row 1.  The cocycle sees all n rows;
     # the pairing product the 20 * (n // 20) rows of the 20 batches, as
     # the evaluation drops the rest
     model = HermitianModel(p)
@@ -603,27 +629,28 @@ def test_stream_lifts_end_in_one_over_sqrt2(rng, p, monkeypatch):
         last.extend(l[:, -1].copy() for l in lifts)
         return inner.evaluator(*lifts)
 
-    original = forms._SampleStream._transposed
+    original = forms._SampleStream._real_rows
 
-    def transposed(self, k, r):
+    def real_rows(self, k, r):
         t = original(self, k, r)
-        tails.append(t[-2:].copy())
+        tails.append(t[-1:].copy())
         return t
 
-    monkeypatch.setattr(forms._SampleStream, "_transposed", transposed)
+    monkeypatch.setattr(forms._SampleStream, "_real_rows", real_rows)
     field = delta_form_field(model, volume_entropy(model), BoundaryCocycle(3, spy, 1.0), n_samples=n, seed=36)
     x = random_interior(model, rng)
     field(x, random_tangent(model, rng, x), random_tangent(model, rng, x))
     assert np.concatenate(last).tobytes() == np.full(3 * n, r2 + 0j).tobytes()
-    assert np.concatenate(tails, axis=1).tobytes() == np.tile([[r2], [0.0]], (1, 3 * batched)).tobytes()
+    assert np.concatenate(tails, axis=1).tobytes() == np.ones((1, 3 * batched)).tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_stream_holds_the_sampler_bytes(p):
     # common random numbers across the two callers of the one normaliser:
-    # the lifts a stream gives the cocycle and, transposed, the pairing
-    # product are those of VisualMeasure.sample_lifts and of the
-    # whole-array oracle on the same generator
+    # the lifts a stream gives the cocycle are those of
+    # VisualMeasure.sample_lifts and of the whole-array oracle on the same
+    # generator, and the real rows given to the pairing product are the
+    # oracle's unit directions, transposed, over a row of ones
     model = HermitianModel(p)
     for n in (200_000, 131_073, 2_000):
         seen = [[], [], []]
@@ -634,13 +661,15 @@ def test_stream_holds_the_sampler_bytes(p):
             return np.zeros(len(lifts[0]))
 
         field = delta_form_field(model, volume_entropy(model), BoundaryCocycle(3, spy, 1.0), n_samples=n, seed=37)
-        nu, draw, oracle_draw = VisualMeasure(model, seed=37), np.random.default_rng(37), np.random.default_rng(37)
+        nu, draw = VisualMeasure(model, seed=37), np.random.default_rng(37)
+        oracle_draw, directions_draw = np.random.default_rng(37), np.random.default_rng(37)
         for k, blocks in enumerate(seen):
             want = nu.sample_lifts(n, rng=draw)
+            u = whole_array_directions(model, n, directions_draw)
             assert np.concatenate(blocks).tobytes() == want.tobytes()
             assert whole_array_lifts(model, n, oracle_draw).tobytes() == want.tobytes()
-            t = np.concatenate([field._transposed(k, r) for r in _row_blocks(n, rows=forms._EVAL_ROWS)], axis=1)
-            assert t.tobytes() == np.ascontiguousarray(want.view(float).T).tobytes()
+            t = np.concatenate([field._real_rows(k, r) for r in _row_blocks(n, rows=forms._EVAL_ROWS)], axis=1)
+            assert t.tobytes() == np.concatenate([u.view(float).T, np.ones((1, n))]).tobytes()
 
 
 # one valid delta_form_eval, whose result must not depend on what the
