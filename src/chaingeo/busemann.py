@@ -74,9 +74,7 @@ class VisualMeasure:
         g = rng.standard_normal((2, n, self.model.p))  # the draws of two normal(size=(n, p)) calls
         lifts = np.empty((n, self.model.p + 1), dtype=complex)
         lifts[:, -1] = 1.0 / np.sqrt(2.0)
-        for r in _row_blocks(n):
-            _boundary_lifts(_unit_rows(g[:, r]), out=lifts[r])
-        return lifts
+        return _boundary_lifts(_unit_rows(g), out=lifts)
 
     def sample_points(self, n, rng=None):
         return [
@@ -98,16 +96,18 @@ def _unit_rows(g):
     bytes; rows of 8 or more terms take ``np.linalg.norm`` itself.
     """
     u = np.empty(g.shape[1:], dtype=complex)
-    u.real, u.imag = g[0], g[1]
-    if u.shape[1] < 8:
-        sq = (u[:, 0].conj() * u[:, 0]).real.copy()
-        for j in range(1, u.shape[1]):
-            sq += (u[:, j].conj() * u[:, j]).real
-        norm = np.sqrt(sq)
-    else:
-        norm = np.linalg.norm(u, axis=1)
-    f = u.view(float)  # numpy divides by c + 0i as a * (1/c): scaling gives its bytes
-    f *= (1.0 / norm)[:, None]
+    for r in _row_blocks(len(u)):  # each block's temporaries stay in cache
+        b = u[r]
+        b.real, b.imag = g[0, r], g[1, r]
+        if b.shape[1] < 8:
+            sq = (b[:, 0].conj() * b[:, 0]).real.copy()
+            for j in range(1, b.shape[1]):
+                sq += (b[:, j].conj() * b[:, j]).real
+            norm = np.sqrt(sq)
+        else:
+            norm = np.linalg.norm(b, axis=1)
+        f = b.view(float)  # numpy divides by c + 0i as a * (1/c): scaling gives its bytes
+        f *= (1.0 / norm)[:, None]
     return u
 
 
@@ -197,14 +197,14 @@ def _test_family(model, lifts):
     return np.stack([np.abs(lifts @ np.conj(w)) ** 2 / nrm2 for w in refs], axis=0)  # (n_tests, N)
 
 
-_BLOCK_ROWS = 65536  # the most rows of a sample stream that one pass holds
+_BLOCK_ROWS = 16384  # the most rows of a sample stream that one pass holds
 
 
 def _row_blocks(n, rows=_BLOCK_ROWS):
     """ceil(n / rows) slices cutting range(n) into blocks of equal size, to
-    one row.  numpy rounds small arrays differently (a 3392-row
-    tail changed about 1k of 200k angular-cocycle values), so no block is
-    small, and a blockwise pass gives the whole-array bytes."""
+    one row.  A stream's directions and cocycle values have the same bytes
+    at every block size tried from 2 rows to the whole array; blocks of one
+    row move them, as numpy's one-row matrix-vector product rounds apart."""
     k = -(-n // rows)
     return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 

@@ -28,8 +28,8 @@ builds one when the field is made and keeps it, while ``delta_form_eval``
 builds one per call.  A stream holds each of its n+1 sample arrays as N
 unit directions u in C^p, whose lifts are [u, 1] / sqrt(2), plus N cocycle
 values: about 21 MB at N = 200k and n = p = 2 (the full lifts took 30 MB).
-The lifts exist only in row blocks (``busemann._row_blocks``); the build
-peaks about 19 MB above what the stream holds, at 40 MB.  An evaluation
+The lifts exist only in blocks of at most 16384 rows (``_row_blocks``); the
+build peaks about 7 MB above what the stream holds, at 28 MB.  An evaluation
 of K frames (points with tangent vectors) cuts the stream into 20 batches
 of N // 20 samples (the rest is dropped) and each batch into blocks of at
 most ``_EVAL_ROWS``.  It reads each block once and pairs each sample
@@ -133,7 +133,7 @@ class BoundaryCocycle:
     ``evaluator`` receives ``arity`` arrays of lifts, each (N, p+1), and
     returns (N,) values with |value| <= sup_norm_bound.  A form's sample
     stream calls it on the calling thread, on read-only row blocks of at
-    most 65536 lifts whose buffers it reuses for the next block, so it must
+    most 16384 lifts whose buffers it reuses for the next block, so it must
     neither keep nor modify them.
     ``alternating`` is a declaration that nothing checks.
     """
@@ -202,13 +202,12 @@ class _SampleStream:
         self.degree = _degree(c)
         self.model = model
         self.entropy = entropy
-        self.sup_norm_bound = c.sup_norm_bound
         self.n_samples = n_samples
         self.dirs = _draw_directions(model.p, n_samples, seed, self.degree + 1)
 
     def run_cocycle(self, c):
         """Evaluate c on the samples, block by block, as ``values``."""
-        self.values = np.empty(self.n_samples)
+        self.sup_norm_bound, self.values = c.sup_norm_bound, np.empty(self.n_samples)
         for r, lifts in self._lift_blocks():
             self.values[r] = c(*lifts)
 
@@ -394,11 +393,12 @@ def delta_form_field(model, entropy, c, n_samples=200_000, seed=0):
     The stream is drawn, and the cocycle evaluated, once, here; the field
     holds (n+1) * n_samples * p complex unit directions and n_samples
     cocycle values, about 21 MB at n_samples = 200k, n = p = 2, and
-    building it peaks about 19 MB above that.  The field is the stream
-    itself: a call costs one stacked real matrix product per sample array
-    and row block and peaks about 1 MB above what is held, and
-    ``exterior_derivative_fd`` evaluates its six frames in one pass over
-    the stream and peaks about 7 MB above what is held.
+    building it in 16384-row blocks peaks about 7 MB above that.  The field
+    is the stream itself: ``field.run_cocycle(c2)`` puts a cocycle of the
+    same arity on the same draw, a call costs one stacked real matrix
+    product per sample array and row block and peaks about 1 MB above what
+    is held, and ``exterior_derivative_fd`` evaluates its six frames in one
+    pass over the stream and peaks about 7 MB above what is held.
     """
     stream = _SampleStream(model, entropy, c, n_samples, seed)
     stream.run_cocycle(c)

@@ -173,17 +173,22 @@ def _classify(lifts):
     a boundary point.  A row is divided by its norm ``_norm``; then
     |q| <= TOL_NULL for q = <v, v> is a boundary point, q < 0 an interior
     one (rescaled to <v, v> = -1), and q > 0 raises ``ValueError``, as a
-    zero or non-finite row does; last, the last coordinate is made real and
-    positive.  A row gets the same bits alone or in any stack."""
+    zero or non-finite row does (a row below 2^-537, whose squares underflow
+    to a zero norm, is first scaled by 2^600, exactly); last, the last
+    coordinate is made real and positive.  A row gets the same bits alone or
+    in any stack."""
     V = np.array(lifts, dtype=complex)
     cols = V.T  # a view: scaling its columns scales the rows of V
     try:
         nrm = _norm(V)
-        finite = _every((0.0 < nrm) & (nrm < np.inf))
     except RuntimeWarning:  # an overflowing norm, where warnings are errors
-        finite = False
-    if not finite:
-        raise ValueError("lift must be nonzero and finite")
+        nrm = np.full(V.shape[:-1], np.inf)
+    if not _every((0.0 < nrm) & (nrm < np.inf)):
+        tiny = (nrm == 0.0) & V.any(axis=-1) & np.isfinite(V).all(axis=-1)
+        if not tiny.any():
+            raise ValueError("lift must be nonzero and finite")
+        V[tiny] *= 2.0**600
+        return _classify(V)
     cols /= nrm
     q = _herm(V, V).real[()]  # |q| <= 1 after Euclidean normalization
     boundary = abs(q) <= TOL_NULL

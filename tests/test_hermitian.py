@@ -166,6 +166,20 @@ def test_golden_input_points_classify_alone_as_in_a_stack():
         _assert_rows_classify_alone(rows, stated=[pt["kind"] for pt in pts])
 
 
+def test_a_subnormal_lift_spans_its_line():
+    # the squares of (1e-320, 0, 1e-320) underflow to a zero norm; the row
+    # is scaled by a power of two and gets the bits of (1, 0, 1)
+    model = HermitianModel(2)
+    want = ProjPoint(np.array([1.0, 0.0, 1.0]), model)
+    tiny = np.array([1e-320, 0.0, 1e-320])
+    x = ProjPoint(tiny, model)
+    assert x.kind == "boundary" and x.lift.tobytes() == want.lift.tobytes()
+    rows = np.concatenate([VisualMeasure(model, seed=3).sample_lifts(4), tiny[None]])
+    lifts, boundary = _classify(rows)
+    assert boundary.all() and lifts[-1].tobytes() == want.lift.tobytes()
+    _assert_rows_classify_alone(rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.integers(min_value=1, max_value=4),
