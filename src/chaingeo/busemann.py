@@ -72,9 +72,10 @@ class VisualMeasure:
         """(n, p+1) array of boundary lifts, deterministic per (seed, n)."""
         rng = rng or np.random.default_rng(self.seed)
         g = rng.standard_normal((2, n, self.model.p))  # the draws of two normal(size=(n, p)) calls
+        _unit_rows(g)
         lifts = np.empty((n, self.model.p + 1), dtype=complex)
         lifts[:, -1] = 1.0 / np.sqrt(2.0)
-        return _boundary_lifts(_unit_rows(g), out=lifts)
+        return _boundary_lifts(g, out=lifts)
 
     def sample_points(self, n, rng=None):
         return [
@@ -84,20 +85,23 @@ class VisualMeasure:
 
 
 def _unit_rows(g):
-    """The (n, p) complex rows g[0] + i g[1] of (2, n, p) normal draws, each
-    scaled to unit length: uniform directions on the sphere S^{2p-1}.
+    """Scale the (2, n, p) normal draws g in place so that each row of
+    g[0] + i g[1] has unit length: uniform directions on the sphere
+    S^{2p-1}, held as their real and imaginary halves.
 
-    The one normaliser of the sampler and the forms' sample stream.  The
-    squared moduli are summed column by column, in order, with numpy's
-    complex product (which may fuse a multiply-add), in a third of the time
-    of ``np.linalg.norm``'s strided reduce.  That reduce adds the terms of
-    a row in the same order while there are fewer than 8 of them, where
+    The one normaliser of the sampler and the forms' sample stream.  Block
+    by block, the squared moduli are summed column by column, in order,
+    with numpy's complex product (which may fuse a multiply-add) on a
+    complex copy of the block, in a third of the time of
+    ``np.linalg.norm``'s strided reduce.  That reduce adds the terms of a
+    row in the same order while there are fewer than 8 of them, where
     numpy's pairwise summation starts, so for p <= 7 the bytes are its
     bytes; rows of 8 or more terms take ``np.linalg.norm`` itself.
     """
-    u = np.empty(g.shape[1:], dtype=complex)
-    for r in _row_blocks(len(u)):  # each block's temporaries stay in cache
-        b = u[r]
+    blocks = _row_blocks(g.shape[1])
+    z = np.empty((max((r.stop - r.start for r in blocks), default=0), g.shape[2]), dtype=complex)
+    for r in blocks:  # each block's temporaries stay in cache
+        b = z[: r.stop - r.start]
         b.real, b.imag = g[0, r], g[1, r]
         if b.shape[1] < 8:
             sq = (b[:, 0].conj() * b[:, 0]).real.copy()
@@ -106,17 +110,19 @@ def _unit_rows(g):
             norm = np.sqrt(sq)
         else:
             norm = np.linalg.norm(b, axis=1)
-        f = b.view(float)  # numpy divides by c + 0i as a * (1/c): scaling gives its bytes
-        f *= (1.0 / norm)[:, None]
-    return u
+        g[:, r] *= (1.0 / norm)[:, None]  # numpy divides by c + 0i as a * (1/c): scaling gives its bytes
 
 
-def _boundary_lifts(dirs, out):
-    """Write the boundary lifts [u, 1] / sqrt(2) of the (n, p) unit
-    directions u to ``out``, (n, p+1), whose last column already holds
-    1/sqrt(2), every sample's last coordinate (so |<xi, O>|^2 = 1/2), and
-    return it."""
-    np.multiply(dirs.view(float), 1.0 / np.sqrt(2.0), out=out[:, :-1].view(float))
+def _boundary_lifts(g, out):
+    """Write the boundary lifts [u, 1] / sqrt(2) of the unit directions
+    u = g[0] + i g[1], g (2, n, p) as ``_unit_rows`` leaves it, to ``out``,
+    (n, p+1), whose last column already holds 1/sqrt(2), every sample's
+    last coordinate (so |<xi, O>|^2 = 1/2), and return it.  Each half is
+    read one column at a time: a 200k-row array took 1.6 ms so, and 8.3 ms
+    in one pass writing (n, p, 2)-strided from the transposed halves."""
+    for j in range(g.shape[2]):
+        np.multiply(g[0, :, j], 1.0 / np.sqrt(2.0), out=out[:, j].real)
+        np.multiply(g[1, :, j], 1.0 / np.sqrt(2.0), out=out[:, j].imag)
     return out
 
 

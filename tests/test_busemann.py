@@ -270,11 +270,15 @@ def test_blockwise_sampler_gives_the_whole_array_bytes(p):
 def test_unit_rows_give_the_bytes_of_linalg_norm(p):
     # the one normaliser sums squared moduli column by column in order;
     # np.linalg.norm's reduce over rows of fewer than 8 terms adds the same
-    # terms in the same order, and longer rows take np.linalg.norm itself
+    # terms in the same order, and longer rows take np.linalg.norm itself.
+    # It scales the draw in place: its halves are the quotient's real and
+    # imaginary parts
     for n in (1, 2_000, 131_073):
         g = np.random.default_rng(p).standard_normal((2, n, p))
         u = g[0] + 1j * g[1]
-        assert _unit_rows(g).tobytes() == (u / np.linalg.norm(u, axis=1, keepdims=True)).tobytes()
+        want = u / np.linalg.norm(u, axis=1, keepdims=True)
+        assert _unit_rows(g) is None
+        assert g[0].tobytes() == want.real.tobytes() and g[1].tobytes() == want.imag.tobytes()
 
 
 def test_row_blocks_are_equal_and_cover():
